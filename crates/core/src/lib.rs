@@ -44,7 +44,7 @@ pub use counterfactual::{
     DefensiveCounterfactual, SlippageCounterfactual,
 };
 pub use dataset::{CollectedBundle, CollectedDetail, Dataset, PollRecord};
-pub use defense::{is_defensive, is_defensive_at, threshold_sweep, DefenseStats};
+pub use defense::{is_defensive, is_defensive_at, is_defensive_tip, threshold_sweep, DefenseStats};
 pub use detector::{
     detect, detect_in_bundle, extract_trade, Currency, DetectorConfig, InvalidCriterion,
     SandwichFinding, Trade,
@@ -54,7 +54,7 @@ pub use pipeline::{
     RunOptions, StoreOptions,
 };
 pub use scan::{
-    scan_store, scan_store_degraded, scan_store_materializing, scan_store_observed, DetailLookup,
-    IncrementalScan, ScanCoverage, ScanPartial,
+    scan_segments, scan_store, scan_store_degraded, scan_store_materializing, walk_segment,
+    DetailLookup, IncrementalScan, ScanCoverage, ScanPartial, SegmentVisitor,
 };
 pub use stats::{Cdf, DailySeries};

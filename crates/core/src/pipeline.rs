@@ -23,7 +23,7 @@ use crate::analysis::{analyze, AnalysisConfig, AnalysisReport};
 use crate::checkpoint::{Checkpoint, StoreCheckpoint};
 use crate::collector::{Collector, CollectorConfig, CollectorStats};
 use crate::dataset::Dataset;
-use crate::scan::{scan_store_partial, IncrementalScan};
+use crate::scan::{report_pass, IncrementalScan};
 
 /// Pipeline tunables.
 #[derive(Clone, Debug)]
@@ -154,7 +154,10 @@ impl MeasurementRun {
     ) -> std::io::Result<AnalysisReport> {
         match &self.store {
             Some(store) if !store.segments().is_empty() => {
-                let mut acc = scan_store_partial(store, &self.clock, config, threads, None)?;
+                let (mut acc, _, failure) = report_pass(store, &self.clock, config, threads, None);
+                if let Some(failure) = failure {
+                    return Err(failure);
+                }
                 // Fold in whatever never sealed (a halted run's residue;
                 // empty after a completed run's final flush).
                 for bundle in self.dataset.bundles() {

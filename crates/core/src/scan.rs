@@ -1,16 +1,21 @@
-//! The scan engine: analysis as a deterministic map/reduce over scan
-//! units (sealed segments or the in-memory dataset).
+//! The scan engine: one walk over each sealed segment ([`walk_segment`],
+//! reporting to a [`SegmentVisitor`]) and one store driver
+//! ([`scan_segments`]) that maps it over the segments on
+//! [`sandwich_store::parallel_map`] workers and reduces **in segment
+//! order**. The analysis report ([`ScanPartial`]) and the query index are
+//! the walk's two consumers, so both run the same detection code.
 //!
 //! Every accumulator in [`ScanPartial`] is either an integer (lamport
 //! sums, counts) or an order-insensitive sample bag (CDF inputs, which
-//! [`Cdf::from_samples`] sorts). Partials are computed independently per
-//! segment by [`sandwich_store::parallel_map`] workers and reduced **in
-//! segment order**; floats appear only in [`ScanPartial::finalize`]. The
-//! result: [`AnalysisReport`] is bit-identical at 1, 2, or 8 threads, and
-//! identical to the single-pass in-memory path
-//! ([`crate::analysis::analyze`] is itself one partial + finalize).
+//! [`Cdf::from_samples`] sorts); floats appear only in
+//! [`ScanPartial::finalize`]. The result: [`AnalysisReport`] is
+//! bit-identical at 1, 2, or 8 threads, and identical to the single-pass
+//! in-memory path ([`crate::analysis::analyze`] runs the walk's
+//! per-record arm over the dataset).
 
 use std::collections::HashMap;
+
+use serde::{Deserialize, Serialize};
 
 use sandwich_ledger::{TransactionId, TransactionMeta};
 use sandwich_obs::Registry;
@@ -23,7 +28,7 @@ use sandwich_types::{Hash, Lamports, Slot, SlotClock};
 use crate::analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
 use crate::dataset::{CollectedBundle, Dataset, PollRecord};
 use crate::defense::{is_defensive_tip, DefenseStats};
-use crate::detector::{detect, detect_in_bundle, SandwichFinding};
+use crate::detector::{detect, detect_in_bundle, DetectorConfig, SandwichFinding};
 use crate::stats::{Cdf, DailySeries};
 
 /// Where a scan finds the transaction metas behind a bundle: the dataset's
@@ -76,6 +81,73 @@ fn bump(series: &mut [u64], day: u64) {
     }
 }
 
+/// [`ScanPartial`] as the walk's consumer, under the config it reports
+/// with (the defensive threshold and the USD oracle).
+struct ReportVisitor<'a> {
+    partial: &'a mut ScanPartial,
+    config: &'a AnalysisConfig,
+}
+
+impl SegmentVisitor for ReportVisitor<'_> {
+    fn bundle(&mut self, day: u64, _slot: Slot, tx_count: usize, tip: Lamports) {
+        let p = &mut *self.partial;
+        let len = tx_count.clamp(1, 5);
+        bump(&mut p.bundles_by_len[len - 1], day);
+        if len == 1 {
+            let threshold = self.config.defensive_threshold;
+            p.tips_len1.push(tip.0 as f64);
+            p.defense.observe_len1(tip, threshold);
+            if is_defensive_tip(tip, threshold) {
+                bump(&mut p.defensive, day);
+            }
+        } else if len == 3 {
+            p.tips_len3.push(tip.0 as f64);
+        }
+    }
+
+    fn linked(&mut self) {
+        self.partial.len3_with_details += 1;
+    }
+
+    fn finding(
+        &mut self,
+        day: u64,
+        _slot: Slot,
+        bundle_id: Hash,
+        tip: Lamports,
+        finding: SandwichFinding,
+    ) {
+        let p = &mut *self.partial;
+        bump(&mut p.sandwiches, day);
+        p.tips_sandwich.push(tip.0 as f64);
+        if finding.sol_legged {
+            if let Some(loss) = finding.victim_loss_lamports {
+                if let Some(v) = p.victim_loss_lamports.get_mut(day as usize) {
+                    *v += u128::from(loss);
+                }
+                p.losses_usd
+                    .push(self.config.oracle.lamports_to_usd(Lamports(loss)));
+            }
+            if let Some(gain) = finding.attacker_gain_lamports {
+                if let Some(v) = p.attacker_gain_lamports.get_mut(day as usize) {
+                    *v += gain;
+                }
+            }
+        } else {
+            p.non_sol += 1;
+        }
+        p.findings.push(DatedFinding {
+            day,
+            bundle_id,
+            finding,
+        });
+    }
+
+    fn polls(&mut self, polls: &[PollRecord]) {
+        self.partial.observe_polls(polls);
+    }
+}
+
 impl ScanPartial {
     /// An empty partial covering `days` measurement days.
     pub fn new(days: usize) -> Self {
@@ -111,94 +183,33 @@ impl ScanPartial {
         clock: &SlotClock,
         config: &AnalysisConfig,
     ) {
-        let day = clock.day_index(bundle.slot);
-        let len = bundle.len().clamp(1, 5);
-        bump(&mut self.bundles_by_len[len - 1], day);
-
-        if len == 1 {
-            self.observe_len1(day, bundle.tip, config);
-            return;
-        }
-
-        if len != 3 && !(config.extended && len > 3) {
-            return;
-        }
-        if len == 3 {
-            self.tips_len3.push(bundle.tip.0 as f64);
-        }
-        let finding = if len == 3 {
-            let metas = bundle
-                .tx_ids
-                .iter()
-                .map(|id| lookup.meta_of(id))
-                .collect::<Option<Vec<_>>>();
-            match metas {
-                Some(m) => {
-                    self.len3_with_details += 1;
-                    detect(&config.detector, [m[0], m[1], m[2]])
-                }
-                None => None,
-            }
-        } else {
-            bundle
-                .tx_ids
-                .iter()
-                .map(|id| lookup.meta_of(id))
-                .collect::<Option<Vec<_>>>()
-                .and_then(|metas| {
-                    detect_in_bundle(&config.detector, &metas)
-                        .into_iter()
-                        .map(|(_, f)| f)
-                        .next()
-                })
+        let mut visitor = ReportVisitor {
+            partial: self,
+            config,
         };
-        let Some(finding) = finding else { return };
-        self.fold_finding(day, bundle.bundle_id, bundle.tip, finding, config);
+        walk_bundle(
+            bundle,
+            lookup,
+            clock,
+            &config.detector,
+            config.extended,
+            &mut visitor,
+        );
     }
 
-    /// Fold one length-1 bundle in from its day and tip alone — the facts
-    /// the columnar fast path reads without materializing the record.
-    fn observe_len1(&mut self, day: u64, tip: Lamports, config: &AnalysisConfig) {
-        self.tips_len1.push(tip.0 as f64);
-        self.defense.observe_len1(tip, config.defensive_threshold);
-        if is_defensive_tip(tip, config.defensive_threshold) {
-            bump(&mut self.defensive, day);
-        }
-    }
-
-    /// Fold one confirmed sandwich in. Shared verbatim between the
-    /// materializing and zero-copy paths so the report stays byte-identical.
-    fn fold_finding(
-        &mut self,
-        day: u64,
-        bundle_id: Hash,
-        tip: Lamports,
-        finding: SandwichFinding,
+    /// One sealed segment's partial, through the shared walk.
+    fn of_segment(
+        view: &SegmentView,
+        clock: &SlotClock,
         config: &AnalysisConfig,
-    ) {
-        bump(&mut self.sandwiches, day);
-        self.tips_sandwich.push(tip.0 as f64);
-        if finding.sol_legged {
-            if let Some(loss) = finding.victim_loss_lamports {
-                if let Some(v) = self.victim_loss_lamports.get_mut(day as usize) {
-                    *v += u128::from(loss);
-                }
-                self.losses_usd
-                    .push(config.oracle.lamports_to_usd(Lamports(loss)));
-            }
-            if let Some(gain) = finding.attacker_gain_lamports {
-                if let Some(v) = self.attacker_gain_lamports.get_mut(day as usize) {
-                    *v += gain;
-                }
-            }
-        } else {
-            self.non_sol += 1;
-        }
-        self.findings.push(DatedFinding {
-            day,
-            bundle_id,
-            finding,
-        });
+    ) -> std::io::Result<ScanPartial> {
+        let mut partial = ScanPartial::new(config.days as usize);
+        let visitor = &mut ReportVisitor {
+            partial: &mut partial,
+            config,
+        };
+        walk_segment(view, clock, &config.detector, config.extended, visitor)?;
+        Ok(partial)
     }
 
     /// Append a run of poll records (they stay ordered across merges, so
@@ -294,55 +305,124 @@ impl ScanPartial {
     }
 }
 
-/// One sealed segment's partial: details become a segment-local lookup,
-/// then every bundle is observed against it.
-pub fn partial_of_segment(
+/// What the segment walk reports, in record order. Each consumer keeps
+/// its own semantics on top: the report buckets a zero-tx record as
+/// length 1, the index counts only true length-1 bundles as defensive.
+pub trait SegmentVisitor {
+    /// One bundle record: its measurement day, slot, transaction count
+    /// (unclamped) and tip.
+    fn bundle(&mut self, day: u64, slot: Slot, tx_count: usize, tip: Lamports);
+
+    /// The length-3 bundle just reported has all three details, so the
+    /// detector had its input.
+    fn linked(&mut self) {}
+
+    /// The bundle just reported is a confirmed sandwich.
+    fn finding(
+        &mut self,
+        day: u64,
+        slot: Slot,
+        bundle_id: Hash,
+        tip: Lamports,
+        finding: SandwichFinding,
+    );
+
+    /// The unit's poll records, after its bundles.
+    fn polls(&mut self, _polls: &[PollRecord]) {}
+}
+
+/// The per-record arm of the walk: report one bundle, resolving its
+/// details through `lookup`. Length-3 bundles run the five-criteria
+/// detector; with `extended`, longer bundles report their first embedded
+/// sandwich too.
+fn walk_bundle<D: DetailLookup, V: SegmentVisitor>(
+    bundle: &CollectedBundle,
+    lookup: &D,
+    clock: &SlotClock,
+    detector: &DetectorConfig,
+    extended: bool,
+    visitor: &mut V,
+) {
+    let day = clock.day_index(bundle.slot);
+    let len = bundle.len();
+    visitor.bundle(day, bundle.slot, len, bundle.tip);
+    let metas = || {
+        bundle
+            .tx_ids
+            .iter()
+            .map(|id| lookup.meta_of(id))
+            .collect::<Option<Vec<_>>>()
+    };
+    let finding = if len == 3 {
+        let Some(m) = metas() else { return };
+        visitor.linked();
+        detect(detector, [m[0], m[1], m[2]])
+    } else if extended && len > 3 {
+        metas().and_then(|m| {
+            detect_in_bundle(detector, &m)
+                .into_iter()
+                .map(|(_, f)| f)
+                .next()
+        })
+    } else {
+        None
+    };
+    if let Some(finding) = finding {
+        visitor.finding(day, bundle.slot, bundle.bundle_id, bundle.tip, finding);
+    }
+}
+
+/// The per-record arm over a fully decoded segment: details become a
+/// segment-local last-wins lookup, then every bundle is walked against it.
+fn walk_records<V: SegmentVisitor>(
     data: SegmentData,
     clock: &SlotClock,
-    config: &AnalysisConfig,
-) -> ScanPartial {
-    let mut partial = ScanPartial::new(config.days as usize);
+    detector: &DetectorConfig,
+    extended: bool,
+    visitor: &mut V,
+) {
     let lookup: HashMap<TransactionId, TransactionMeta> = data
         .details
         .into_iter()
         .map(|d| (d.meta.tx_id, d.meta))
         .collect();
     for bundle in &data.bundles {
-        partial.observe_bundle(bundle, &lookup, clock, config);
+        walk_bundle(bundle, &lookup, clock, detector, extended, visitor);
     }
-    partial.observe_polls(&data.polls);
-    partial
+    visitor.polls(&data.polls);
 }
 
-/// One sealed segment's partial, computed from a zero-copy view without
+/// The columnar arm of the walk: a zero-copy view classified without
 /// materializing every record.
 ///
 /// The columns alone give each bundle's day, length, tip, and the three
 /// detector pre-filter facts (LINKED, criterion 1, criterion 2), so the
 /// overwhelmingly common cases — length-1 bundles and length-3 bundles
-/// that cannot be sandwiches — fold in without touching the body. Only a
-/// surviving candidate decodes its three details (and, on a confirmed
-/// finding, its bundle record for the id). `cols` is caller-provided
-/// scratch so a worker scanning many segments reuses one arena.
+/// that cannot be sandwiches — are reported without touching the body.
+/// Only a surviving candidate decodes its three details (and, on a
+/// confirmed finding, its bundle record for the id). `cols` is
+/// caller-provided scratch so a worker scanning many segments reuses one
+/// arena.
 ///
 /// Soundness of each skip is argued bit-by-bit in `store::column`; the
 /// pre-filters are only consulted under the detector configuration that
-/// makes them exact, and [`partial_of_view_or_segment`] routes extended
-/// scans (which inspect longer bundles) to the materializing path.
-pub fn partial_of_view(
+/// makes them exact, and [`walk_segment`] routes extended scans (which
+/// inspect longer bundles) to the per-record arm.
+fn walk_columns<V: SegmentVisitor>(
     view: &SegmentView,
     cols: &mut Columns,
     clock: &SlotClock,
-    config: &AnalysisConfig,
-) -> Result<ScanPartial, CorruptSegment> {
+    det: &DetectorConfig,
+    visitor: &mut V,
+) -> Result<(), CorruptSegment> {
     view.read_columns(cols)?;
-    let mut partial = ScanPartial::new(config.days as usize);
-    let det = &config.detector;
     let mut linked_cursor = 0usize;
     for i in 0..cols.slot.len() {
-        let day = clock.day_index(Slot(cols.slot[i]));
-        let len = (cols.tx_count[i] as usize).clamp(1, 5);
-        bump(&mut partial.bundles_by_len[len - 1], day);
+        let slot = Slot(cols.slot[i]);
+        let day = clock.day_index(slot);
+        let tx_count = cols.tx_count[i] as usize;
+        let tip = Lamports(cols.tip[i]);
+        visitor.bundle(day, slot, tx_count, tip);
         let flags = cols.flags[i];
         let entry = if flags & META_LINKED != 0 {
             let e =
@@ -354,17 +434,11 @@ pub fn partial_of_view(
         } else {
             None
         };
-        let tip = Lamports(cols.tip[i]);
-        if len == 1 {
-            partial.observe_len1(day, tip, config);
+        if tx_count != 3 {
             continue;
         }
-        if len != 3 {
-            continue;
-        }
-        partial.tips_len3.push(tip.0 as f64);
         let Some(entry) = entry else { continue };
-        partial.len3_with_details += 1;
+        visitor.linked();
         if det.same_outer_signer && flags & META_C1 == 0 {
             continue;
         }
@@ -376,11 +450,11 @@ pub fn partial_of_view(
         let m3 = view.detail_meta(cols, entry.details[2] as usize)?;
         if let Some(finding) = detect(det, [&m1, &m2, &m3]) {
             let bundle_id = view.bundle_record(cols, i)?.bundle_id;
-            partial.fold_finding(day, bundle_id, tip, finding, config);
+            visitor.finding(day, slot, bundle_id, tip, finding);
         }
     }
-    partial.observe_polls(&view.polls(cols)?);
-    Ok(partial)
+    visitor.polls(&view.polls(cols)?);
+    Ok(())
 }
 
 std::thread_local! {
@@ -390,156 +464,100 @@ std::thread_local! {
     static SCAN_SCRATCH: std::cell::RefCell<Columns> = std::cell::RefCell::new(Columns::default());
 }
 
-/// Scan one view on the fast path when it can be exact, falling back to a
-/// full decode otherwise (v1 segments without columns; extended scans,
-/// whose longer-bundle detection needs every record).
-pub fn partial_of_view_or_segment(
+/// The one per-segment walk: the columnar arm when it is exact, otherwise
+/// a full decode through the per-record arm (v1 segments without columns;
+/// extended scans, whose longer-bundle detection needs every record).
+pub fn walk_segment<V: SegmentVisitor>(
     view: &SegmentView,
     clock: &SlotClock,
-    config: &AnalysisConfig,
-) -> std::io::Result<ScanPartial> {
-    let corrupt =
-        |e: CorruptSegment| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-    if view.has_columns() && !config.extended {
-        SCAN_SCRATCH
-            .with(|scratch| partial_of_view(view, &mut scratch.borrow_mut(), clock, config))
-            .map_err(corrupt)
+    detector: &DetectorConfig,
+    extended: bool,
+    visitor: &mut V,
+) -> std::io::Result<()> {
+    if view.has_columns() && !extended {
+        SCAN_SCRATCH.with(|scratch| {
+            walk_columns(view, &mut scratch.borrow_mut(), clock, detector, visitor)
+        })?;
     } else {
-        let data = view.decode_all().map_err(corrupt)?;
-        Ok(partial_of_segment(data, clock, config))
+        walk_records(view.decode_all()?, clock, detector, extended, visitor);
     }
+    Ok(())
 }
 
-/// Scan every sealed segment of `store` on `threads` workers and reduce
-/// the partials in segment order (skipping the finalize — callers that
-/// still have residual in-memory records fold them in first).
-///
-/// Segments are memory-mapped and scanned through the columnar fast path
-/// when they carry one; [`scan_store_materializing`] forces the
-/// record-by-record decode for comparison.
-pub fn scan_store_partial(
-    store: &BundleStore,
-    clock: &SlotClock,
-    config: &AnalysisConfig,
-    threads: usize,
-    registry: Option<&Registry>,
-) -> std::io::Result<ScanPartial> {
-    let units: Vec<usize> = (0..store.segments().len()).collect();
-    let started = std::time::Instant::now();
-    let (partials, workers) = parallel_map(&units, threads, |_, &i| {
-        let view = store.open_view(i)?;
-        partial_of_view_or_segment(&view, clock, config)
-    });
-    if let Some(registry) = registry {
-        registry
-            .counter(sandwich_obs::names::SCAN_SEGMENTS_SCANNED)
-            .add(units.len() as u64);
-        let busy = registry.histogram(sandwich_obs::names::SCAN_WORKER_BUSY_SECONDS);
-        for w in &workers {
-            busy.observe(w.busy.as_secs_f64());
-        }
-        registry
-            .histogram(sandwich_obs::names::SCAN_SECONDS)
-            .observe(started.elapsed().as_secs_f64());
-    }
-    let mut acc = ScanPartial::new(config.days as usize);
-    for partial in partials {
-        acc.merge(partial?);
-    }
-    Ok(acc)
-}
-
-/// Full parallel analysis of a sealed store: scan, reduce, finalize.
-pub fn scan_store(
-    store: &BundleStore,
-    clock: &SlotClock,
-    config: &AnalysisConfig,
-    threads: usize,
-) -> std::io::Result<AnalysisReport> {
-    scan_store_observed(store, clock, config, threads, None)
-}
-
-/// [`scan_store`] that also records `scan.*` metrics into a registry.
-pub fn scan_store_observed(
-    store: &BundleStore,
-    clock: &SlotClock,
-    config: &AnalysisConfig,
-    threads: usize,
-    registry: Option<&Registry>,
-) -> std::io::Result<AnalysisReport> {
-    Ok(scan_store_partial(store, clock, config, threads, registry)?.finalize(config))
-}
-
-/// Exact accounting of what a degraded scan covered: segments and
-/// bundles actually scanned, sitting in quarantine, or skipped because
-/// they failed to read/verify. `segments_total` counts every segment the
-/// manifest has ever sealed and kept on the books (serving + quarantine).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Exact accounting of what one store pass covered: segments and bundles
+/// actually scanned, sitting in quarantine, or skipped because they
+/// failed to read or verify. Both the degraded scan and the query index
+/// carry this block; the index persists it in its frame.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanCoverage {
-    /// Serving segments + quarantined segments.
+    /// Serving segments in the pass (scanned + failed).
     pub segments_total: u64,
-    /// Segments scanned into the report.
+    /// Segments walked into the result.
     pub segments_scanned: u64,
-    /// Segments in the manifest's quarantine list (never read).
+    /// Segments the manifest had already quarantined (never read).
     pub segments_quarantined: u64,
     /// Serving segments that failed to read or verify and were skipped.
     pub segments_failed: u64,
-    /// Bundle records scanned into the report.
+    /// Bundles inside the scanned segments.
     pub bundles_scanned: u64,
-    /// Bundle records in quarantined segments.
+    /// Bundles inside quarantined segments (per their manifest entries).
     pub bundles_quarantined: u64,
-    /// Bundle records in skipped (failed) segments.
+    /// Bundles inside skipped segments (per their manifest entries).
     pub bundles_failed: u64,
 }
 
 impl ScanCoverage {
-    /// Did the scan cover every bundle the store has on the books?
+    /// `true` when nothing was skipped or quarantined — the result
+    /// describes every bundle the pass had on the books.
     pub fn complete(&self) -> bool {
         self.segments_quarantined == 0 && self.segments_failed == 0
     }
 }
 
-/// Degraded-mode scan: like [`scan_store_observed`], but a segment that
-/// fails to read or verify is *skipped and accounted* instead of failing
-/// the whole scan, and quarantined segments are reported in the coverage
-/// block. The report over the surviving segments is still deterministic —
-/// byte-identical to a clean scan of the same surviving set at any thread
-/// count.
-pub fn scan_store_degraded(
+/// The one store driver: `walk` each segment of the `serving` subset
+/// (indexes into [`BundleStore::segments`], opened with the manifest
+/// checksum cross-check) on `threads` workers and hand the partials to
+/// `reduce` **in segment order**. A failing segment is skipped and
+/// counted; the `quarantined` subset (indexes into
+/// [`BundleStore::quarantined`]) is accounted without being read. With a
+/// registry, the pass records the `scan.*` metrics. Returns the coverage
+/// and the first failure in segment order (strict callers fail on it).
+pub fn scan_segments<P: Send>(
     store: &BundleStore,
-    clock: &SlotClock,
-    config: &AnalysisConfig,
+    serving: &[usize],
+    quarantined: &[usize],
     threads: usize,
     registry: Option<&Registry>,
-) -> std::io::Result<(AnalysisReport, ScanCoverage)> {
-    let units: Vec<usize> = (0..store.segments().len()).collect();
+    walk: impl Fn(&SegmentView) -> std::io::Result<P> + Sync,
+    mut reduce: impl FnMut(P),
+) -> (ScanCoverage, Option<std::io::Error>) {
     let started = std::time::Instant::now();
-    let (partials, workers) = parallel_map(&units, threads, |_, &i| {
-        let result: std::io::Result<ScanPartial> = store
-            .open_view(i)
-            .and_then(|view| partial_of_view_or_segment(&view, clock, config));
-        // Propagate the outcome, not the error: the reduce below turns
-        // failures into coverage accounting.
-        result.ok()
+    let (results, workers) = parallel_map(serving, threads, |_, &i| {
+        store.open_view(i).and_then(|view| walk(&view))
     });
     let mut coverage = ScanCoverage {
-        segments_quarantined: store.quarantined().len() as u64,
-        bundles_quarantined: store.manifest().total_quarantined_bundles(),
+        segments_total: serving.len() as u64,
+        segments_quarantined: quarantined.len() as u64,
+        bundles_quarantined: quarantined
+            .iter()
+            .filter_map(|&q| store.quarantined().get(q))
+            .map(|q| q.meta.bundles)
+            .sum(),
         ..ScanCoverage::default()
     };
-    coverage.segments_total = store.segments().len() as u64 + coverage.segments_quarantined;
-    let mut acc = ScanPartial::new(config.days as usize);
-    for (i, partial) in partials.into_iter().enumerate() {
-        let meta = &store.segments()[i];
-        match partial {
-            Some(p) => {
+    let mut failure = None;
+    for (&i, result) in serving.iter().zip(results) {
+        let bundles = store.segments().get(i).map_or(0, |meta| meta.bundles);
+        match result {
+            Ok(partial) => {
                 coverage.segments_scanned += 1;
-                coverage.bundles_scanned += meta.bundles;
-                acc.merge(p);
+                coverage.bundles_scanned += bundles;
+                reduce(partial);
             }
-            None => {
+            Err(e) => {
                 coverage.segments_failed += 1;
-                coverage.bundles_failed += meta.bundles;
+                coverage.bundles_failed += bundles;
+                failure.get_or_insert(e);
             }
         }
     }
@@ -561,12 +579,68 @@ pub fn scan_store_degraded(
             .histogram(sandwich_obs::names::SCAN_SECONDS)
             .observe(started.elapsed().as_secs_f64());
     }
-    Ok((acc.finalize(config), coverage))
+    (coverage, failure)
 }
 
-/// Full parallel analysis that decodes every record of every segment —
-/// the pre-columnar scan path, kept as the reference the zero-copy scan
-/// is benchmarked (and byte-equality-tested) against.
+/// The report's partial over every sealed segment of `store`, with the
+/// pass's coverage and first failure.
+pub(crate) fn report_pass(
+    store: &BundleStore,
+    clock: &SlotClock,
+    config: &AnalysisConfig,
+    threads: usize,
+    registry: Option<&Registry>,
+) -> (ScanPartial, ScanCoverage, Option<std::io::Error>) {
+    let serving: Vec<usize> = (0..store.segments().len()).collect();
+    let quarantined: Vec<usize> = (0..store.quarantined().len()).collect();
+    let mut acc = ScanPartial::new(config.days as usize);
+    let (coverage, failure) = scan_segments(
+        store,
+        &serving,
+        &quarantined,
+        threads,
+        registry,
+        |view| ScanPartial::of_segment(view, clock, config),
+        |partial| acc.merge(partial),
+    );
+    (acc, coverage, failure)
+}
+
+/// Full parallel analysis of a sealed store: scan, reduce, finalize. Any
+/// segment that fails to read or verify fails the scan.
+pub fn scan_store(
+    store: &BundleStore,
+    clock: &SlotClock,
+    config: &AnalysisConfig,
+    threads: usize,
+) -> std::io::Result<AnalysisReport> {
+    match report_pass(store, clock, config, threads, None) {
+        (_, _, Some(failure)) => Err(failure),
+        (partial, _, None) => Ok(partial.finalize(config)),
+    }
+}
+
+/// Degraded-mode scan: like [`scan_store`], but a segment that fails to
+/// read or verify is *skipped and accounted* instead of failing the whole
+/// scan, quarantined segments are reported in the coverage block, and
+/// with a registry the `scan.*` metrics are recorded. The report over the
+/// surviving segments is still deterministic — byte-identical to a clean
+/// scan of the same surviving set at any thread count.
+pub fn scan_store_degraded(
+    store: &BundleStore,
+    clock: &SlotClock,
+    config: &AnalysisConfig,
+    threads: usize,
+    registry: Option<&Registry>,
+) -> std::io::Result<(AnalysisReport, ScanCoverage)> {
+    let (partial, coverage, _) = report_pass(store, clock, config, threads, registry);
+    Ok((partial.finalize(config), coverage))
+}
+
+/// Test oracle: full parallel analysis that decodes every record of every
+/// segment through [`BundleStore::read_segment`] and the per-record arm
+/// only. The zero-copy scan is benchmarked and byte-equality-tested
+/// against it; nothing else should call it.
 pub fn scan_store_materializing(
     store: &BundleStore,
     clock: &SlotClock,
@@ -575,9 +649,15 @@ pub fn scan_store_materializing(
 ) -> std::io::Result<AnalysisReport> {
     let units: Vec<usize> = (0..store.segments().len()).collect();
     let (partials, _workers) = parallel_map(&units, threads, |_, &i| {
-        store
-            .read_segment(i)
-            .map(|data| partial_of_segment(data, clock, config))
+        store.read_segment(i).map(|data| {
+            let mut partial = ScanPartial::new(config.days as usize);
+            let mut visitor = ReportVisitor {
+                partial: &mut partial,
+                config,
+            };
+            walk_records(data, clock, &config.detector, config.extended, &mut visitor);
+            partial
+        })
     });
     let mut acc = ScanPartial::new(config.days as usize);
     for partial in partials {
@@ -610,18 +690,17 @@ impl IncrementalScan {
         }
     }
 
-    /// Fold one just-sealed segment in (in seal order).
+    /// Fold one just-sealed segment in (in seal order). The file must be
+    /// the segment `meta` describes: a checksum that disagrees with the
+    /// manifest entry is `InvalidData`, exactly as in a store scan.
     pub fn fold_sealed(
         &mut self,
         dir: &std::path::Path,
         meta: &SegmentMeta,
     ) -> std::io::Result<()> {
-        let view = SegmentView::open(&dir.join(&meta.file))?;
-        self.partial.merge(partial_of_view_or_segment(
-            &view,
-            &self.clock,
-            &self.config,
-        )?);
+        let view = SegmentView::open_sealed(dir, meta)?;
+        self.partial
+            .merge(ScanPartial::of_segment(&view, &self.clock, &self.config)?);
         self.segments_folded += 1;
         Ok(())
     }
@@ -687,6 +766,35 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
+    }
+
+    #[test]
+    fn fold_sealed_rejects_a_valid_segment_that_is_not_the_sealed_one() {
+        let dir = std::env::temp_dir().join(format!("scan-swap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer = StoreWriter::create(&dir).unwrap();
+        for seg in 0..2u64 {
+            let bundles: Vec<_> = (0..10)
+                .map(|i| bundle(seg * 100 + i, seg * 50 + i, 1, 20_000 + i))
+                .collect();
+            writer
+                .seal_segment(bundles, Vec::new(), Vec::new())
+                .unwrap();
+        }
+        let segments = writer.segments().to_vec();
+        // Segment 1's file is a valid segment, just not segment 0.
+        std::fs::copy(dir.join(&segments[1].file), dir.join(&segments[0].file)).unwrap();
+        let mut scan =
+            IncrementalScan::new(SlotClock::default(), AnalysisConfig::paper_defaults(1));
+        let err = scan.fold_sealed(&dir, &segments[0]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            scan.segments_folded(),
+            0,
+            "nothing folded from the swapped file"
+        );
+        scan.fold_sealed(&dir, &segments[1]).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -15,12 +15,22 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use sandwich_attrib::{LeaderSchedule, ValidatorSpec};
-use sandwich_core::{detect, is_defensive_at, Currency, DetectorConfig};
+use sandwich_core::{
+    is_defensive_tip, scan_segments, walk_segment, Currency, DetectorConfig, SandwichFinding,
+    SegmentVisitor,
+};
 use sandwich_jito::BundleId;
-use sandwich_ledger::{TransactionId, TransactionMeta};
 use sandwich_store::crash::{write_durable_with, CrashPlan};
-use sandwich_store::{fnv1a64, parallel_map, BundleStore, Manifest};
-use sandwich_types::{Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
+use sandwich_store::{fnv1a64, BundleStore, Manifest};
+use sandwich_types::{Hash, Lamports, Pubkey, Slot, SlotClock, DEFENSIVE_TIP_THRESHOLD};
+
+/// What fraction of the store an index describes: the coverage block of
+/// the store pass that built it. A healthy build scans every serving
+/// segment; a degraded build (unreadable segment files, quarantined
+/// segments in the manifest) still succeeds but says exactly what it
+/// skipped, so `/api/summary` can surface the gap instead of silently
+/// under-reporting.
+pub use sandwich_core::ScanCoverage as IndexCoverage;
 
 /// Index file name inside a store directory (next to `manifest.json`).
 pub const INDEX_FILE: &str = "query-index.bin";
@@ -93,6 +103,31 @@ impl DayRollup {
             ..DayRollup::default()
         }
     }
+}
+
+/// Element-wise sum of dense day-rollup lists; the merged list is as long
+/// as the longest input and every day keeps the first label it was given.
+/// The one day-rollup merge: segment partials, [`fold_indexes`] and the
+/// shard router all fold with it.
+pub fn merge_days(parts: &[Vec<DayRollup>]) -> Vec<DayRollup> {
+    let len = parts.iter().map(|d| d.len()).max().unwrap_or(0);
+    let mut merged: Vec<DayRollup> = (0..len as u64).map(DayRollup::new).collect();
+    for rollup in parts.iter().flatten() {
+        let into = &mut merged[rollup.day as usize];
+        if into.label.is_empty() {
+            into.label = rollup.label.clone();
+        }
+        into.bundles += rollup.bundles;
+        for (a, b) in into.bundles_by_len.iter_mut().zip(&rollup.bundles_by_len) {
+            *a += b;
+        }
+        into.sandwiches += rollup.sandwiches;
+        into.defensive += rollup.defensive;
+        into.victim_loss_lamports += rollup.victim_loss_lamports;
+        into.attacker_gain_lamports += rollup.attacker_gain_lamports;
+        into.tips_lamports += rollup.tips_lamports;
+    }
+    merged
 }
 
 /// One detected sandwich, as the API serves it: enough to render a row on
@@ -188,35 +223,23 @@ pub struct PoolEntry {
     pub refs: Vec<u32>,
 }
 
-/// What fraction of the store this index actually describes. A healthy
-/// build scans every serving segment; a degraded build (unreadable
-/// segment files, quarantined segments in the manifest) still succeeds
-/// but says exactly what it skipped, so `/api/summary` can surface the
-/// gap instead of silently under-reporting.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IndexCoverage {
-    /// Serving segments in the manifest when the build ran.
-    pub segments_total: u64,
-    /// Segments decoded and folded into the index.
-    pub segments_scanned: u64,
-    /// Segments the manifest had already quarantined (never read).
-    pub segments_quarantined: u64,
-    /// Serving segments that failed to read or decode and were skipped.
-    pub segments_failed: u64,
-    /// Bundles inside the scanned segments.
-    pub bundles_scanned: u64,
-    /// Bundles inside quarantined segments (per their manifest entries).
-    pub bundles_quarantined: u64,
-    /// Bundles inside skipped segments (per their manifest entries).
-    pub bundles_failed: u64,
-}
-
-impl IndexCoverage {
-    /// `true` when nothing was skipped or quarantined — the index
-    /// describes every bundle ever sealed into the store.
-    pub fn complete(&self) -> bool {
-        self.segments_failed == 0 && self.segments_quarantined == 0
+/// Field-wise sum of coverage blocks. Because a shard map (or a fold's
+/// base plus delta) partitions every manifest entry, serving and
+/// quarantined, into exactly one part, the sum equals the coverage of one
+/// pass over the whole store. Used by [`fold_indexes`] and the shard
+/// router.
+pub fn merge_coverage(parts: &[IndexCoverage]) -> IndexCoverage {
+    let mut merged = IndexCoverage::default();
+    for c in parts {
+        merged.segments_total += c.segments_total;
+        merged.segments_scanned += c.segments_scanned;
+        merged.segments_quarantined += c.segments_quarantined;
+        merged.segments_failed += c.segments_failed;
+        merged.bundles_scanned += c.bundles_scanned;
+        merged.bundles_quarantined += c.bundles_quarantined;
+        merged.bundles_failed += c.bundles_failed;
     }
+    merged
 }
 
 /// Store-wide totals for `/api/summary`.
@@ -240,6 +263,25 @@ pub struct IndexTotals {
     pub tips_lamports: u128,
     /// Highest bundle slot indexed.
     pub max_slot: u64,
+}
+
+/// Field-wise sum of totals (`max_slot` by max). The one totals merge:
+/// segment partials, [`fold_indexes`] and the shard router all fold with
+/// it.
+pub fn merge_totals(parts: &[IndexTotals]) -> IndexTotals {
+    let mut merged = IndexTotals::default();
+    for t in parts {
+        merged.segments += t.segments;
+        merged.bundles += t.bundles;
+        merged.sandwiches += t.sandwiches;
+        merged.non_sol_sandwiches += t.non_sol_sandwiches;
+        merged.defensive += t.defensive;
+        merged.victim_loss_lamports += t.victim_loss_lamports;
+        merged.attacker_gain_lamports += t.attacker_gain_lamports;
+        merged.tips_lamports += t.tips_lamports;
+        merged.max_slot = merged.max_slot.max(t.max_slot);
+    }
+    merged
 }
 
 /// The complete secondary index for one manifest generation.
@@ -278,13 +320,15 @@ pub struct QueryIndex {
     pub validators: Option<Vec<ValidatorEntry>>,
 }
 
-/// Per-segment partial of the index build (merged in segment order).
+/// Pre-finalize state of the index build: everything the leaderboards
+/// are pure functions of. Built per segment by the shared walk and merged
+/// in segment order, or rebuilt from persisted indexes by
+/// [`fold_indexes`].
 #[derive(Default)]
 struct IndexPartial {
     days: Vec<DayRollup>,
     refs: Vec<SandwichRef>,
-    non_sol: u64,
-    max_slot: u64,
+    totals: IndexTotals,
 }
 
 impl IndexPartial {
@@ -297,71 +341,55 @@ impl IndexPartial {
     }
 
     fn merge(&mut self, other: IndexPartial) {
-        for rollup in other.days {
-            let into = self.day_mut(rollup.day);
-            into.bundles += rollup.bundles;
-            for (a, b) in into.bundles_by_len.iter_mut().zip(&rollup.bundles_by_len) {
-                *a += b;
-            }
-            into.sandwiches += rollup.sandwiches;
-            into.defensive += rollup.defensive;
-            into.victim_loss_lamports += rollup.victim_loss_lamports;
-            into.attacker_gain_lamports += rollup.attacker_gain_lamports;
-            into.tips_lamports += rollup.tips_lamports;
-        }
+        self.days = merge_days(&[std::mem::take(&mut self.days), other.days]);
         self.refs.extend(other.refs);
-        self.non_sol += other.non_sol;
-        self.max_slot = self.max_slot.max(other.max_slot);
+        self.totals = merge_totals(&[std::mem::take(&mut self.totals), other.totals]);
     }
 }
 
-fn partial_of_segment(
-    data: sandwich_store::SegmentData,
-    config: &QueryConfig,
-    schedule: Option<&LeaderSchedule>,
-) -> IndexPartial {
-    let mut partial = IndexPartial::default();
-    let lookup: HashMap<TransactionId, TransactionMeta> = data
-        .details
-        .into_iter()
-        .map(|d| (d.meta.tx_id, d.meta))
-        .collect();
-    for bundle in &data.bundles {
-        let day = config.clock.day_index(bundle.slot);
-        partial.max_slot = partial.max_slot.max(bundle.slot.0);
-        let rollup = partial.day_mut(day);
+/// [`IndexPartial`] as the segment walk's consumer. A bundle is defensive
+/// only at true length 1; every length-3 finding becomes a ref joined to
+/// its slot leader.
+struct IndexVisitor<'a> {
+    partial: IndexPartial,
+    defensive_threshold: Lamports,
+    schedule: Option<&'a LeaderSchedule>,
+}
+
+impl SegmentVisitor for IndexVisitor<'_> {
+    fn bundle(&mut self, day: u64, slot: Slot, tx_count: usize, tip: Lamports) {
+        let defensive = u64::from(tx_count == 1 && is_defensive_tip(tip, self.defensive_threshold));
+        let totals = &mut self.partial.totals;
+        totals.bundles += 1;
+        totals.defensive += defensive;
+        totals.tips_lamports += u128::from(tip.0);
+        totals.max_slot = totals.max_slot.max(slot.0);
+        let rollup = self.partial.day_mut(day);
         rollup.bundles += 1;
-        let len = bundle.len().clamp(1, 5);
-        rollup.bundles_by_len[len - 1] += 1;
-        rollup.tips_lamports += u128::from(bundle.tip.0);
-        if is_defensive_at(bundle, config.defensive_threshold) {
-            rollup.defensive += 1;
-        }
-        if len != 3 {
-            continue;
-        }
-        let Some(metas) = bundle
-            .tx_ids
-            .iter()
-            .map(|id| lookup.get(id))
-            .collect::<Option<Vec<_>>>()
-        else {
-            continue;
-        };
-        let Some(finding) = detect(&config.detector, [metas[0], metas[1], metas[2]]) else {
-            continue;
-        };
-        let rollup = partial.day_mut(day);
+        rollup.bundles_by_len[tx_count.clamp(1, 5) - 1] += 1;
+        rollup.defensive += defensive;
+        rollup.tips_lamports += u128::from(tip.0);
+    }
+
+    fn finding(
+        &mut self,
+        day: u64,
+        slot: Slot,
+        bundle_id: Hash,
+        tip: Lamports,
+        finding: SandwichFinding,
+    ) {
+        let loss = finding.victim_loss_lamports.map_or(0, u128::from);
+        let gain = finding.attacker_gain_lamports.unwrap_or(0);
+        let totals = &mut self.partial.totals;
+        totals.sandwiches += 1;
+        totals.non_sol_sandwiches += u64::from(!finding.sol_legged);
+        totals.victim_loss_lamports += loss;
+        totals.attacker_gain_lamports += gain;
+        let rollup = self.partial.day_mut(day);
         rollup.sandwiches += 1;
-        if let Some(loss) = finding.victim_loss_lamports {
-            rollup.victim_loss_lamports += u128::from(loss);
-        }
-        if let Some(gain) = finding.attacker_gain_lamports {
-            rollup.attacker_gain_lamports += gain;
-        }
-        if !finding.sol_legged {
-            partial.non_sol += 1;
-        }
+        rollup.victim_loss_lamports += loss;
+        rollup.attacker_gain_lamports += gain;
         let mints = finding
             .currencies
             .iter()
@@ -370,21 +398,20 @@ fn partial_of_segment(
                 Currency::Token(mint) => Some(*mint),
             })
             .collect();
-        partial.refs.push(SandwichRef {
+        self.partial.refs.push(SandwichRef {
             day,
-            slot: bundle.slot.0,
-            bundle_id: bundle.bundle_id,
+            slot: slot.0,
+            bundle_id,
             attacker: finding.attacker,
             victim: finding.victim,
             mints,
             sol_legged: finding.sol_legged,
             victim_loss_lamports: finding.victim_loss_lamports,
             attacker_gain_lamports: finding.attacker_gain_lamports,
-            tip_lamports: bundle.tip.0,
-            leader: schedule.map(|s| s.leader_at(bundle.slot)),
+            tip_lamports: tip.0,
+            leader: self.schedule.map(|s| s.leader_at(slot)),
         });
     }
-    partial
 }
 
 /// Build the index from every sealed segment of `store` on
@@ -423,45 +450,28 @@ pub fn build_index_subset(
     // store (no spec) indexes with `leader: None` on every ref.
     let spec = store.manifest().validators;
     let schedule = spec.as_ref().map(LeaderSchedule::new);
-    let (partials, _workers) = parallel_map(serving, config.threads, |_, &i| {
-        store
-            .read_segment(i)
-            .ok()
-            .map(|data| partial_of_segment(data, config, schedule.as_ref()))
-    });
     let mut acc = IndexPartial::default();
-    let mut coverage = IndexCoverage {
-        segments_total: serving.len() as u64,
-        segments_quarantined: quarantined.len() as u64,
-        bundles_quarantined: quarantined
-            .iter()
-            .filter_map(|&q| store.quarantined().get(q))
-            .map(|q| q.meta.bundles)
-            .sum(),
-        ..IndexCoverage::default()
-    };
-    for (&i, partial) in serving.iter().zip(partials) {
-        let bundles = store.segments()[i].bundles;
-        match partial {
-            Some(partial) => {
-                coverage.segments_scanned += 1;
-                coverage.bundles_scanned += bundles;
-                acc.merge(partial);
-            }
-            None => {
-                coverage.segments_failed += 1;
-                coverage.bundles_failed += bundles;
-            }
-        }
-    }
-    let mut index = finalize(
-        acc,
-        coverage,
-        generation_of(store.manifest()),
-        serving.len() as u64,
-        spec,
-        config,
+    // The index never runs the extended detector, so every v2 segment
+    // takes the walk's columnar arm.
+    let (coverage, _skipped) = scan_segments(
+        store,
+        serving,
+        quarantined,
+        config.threads,
+        None,
+        |view| {
+            let mut visitor = IndexVisitor {
+                partial: IndexPartial::default(),
+                defensive_threshold: config.defensive_threshold,
+                schedule: schedule.as_ref(),
+            };
+            walk_segment(view, &config.clock, &config.detector, false, &mut visitor)?;
+            Ok(visitor.partial)
+        },
+        |partial| acc.merge(partial),
     );
+    acc.totals.segments = serving.len() as u64;
+    let mut index = finalize(acc, coverage, generation_of(store.manifest()), spec, config);
     index.segment_files = serving
         .iter()
         .filter_map(|&i| store.segments().get(i))
@@ -479,10 +489,10 @@ pub fn build_index_subset(
 
 /// Fold already-built indexes into one, exactly as if their segments had
 /// been scanned in a single [`build_index_subset`] pass: reconstruct each
-/// part's pre-finalize partial (days, refs, non-SOL count, max slot —
-/// the leaderboards and totals are pure functions of those), merge with
-/// the same associative [`IndexPartial::merge`], sum the coverage blocks,
-/// and finalize once under `generation`.
+/// part's pre-finalize partial (days, refs, totals — the leaderboards are
+/// pure functions of those), merge with the same associative
+/// [`merge_days`] / [`merge_totals`] / [`merge_coverage`] the build and
+/// the shard router use, and finalize once under `generation`.
 ///
 /// Because the merge is associative and commutative and `finalize` is a
 /// deterministic function of the merged multiset, folding any partition
@@ -490,42 +500,25 @@ pub fn build_index_subset(
 /// rebuild — the invariant `tests/live_fold_props.rs` pins and the whole
 /// live-tail reload path rests on.
 pub fn fold_indexes(generation: &str, parts: Vec<QueryIndex>, config: &QueryConfig) -> QueryIndex {
-    let mut acc = IndexPartial::default();
-    let mut coverage = IndexCoverage::default();
-    let mut segments = 0u64;
-    let mut segment_files = Vec::new();
-    let mut quarantined_files = Vec::new();
     // Every part of one store generation carries the same spec (or none);
     // the leaderboard is recomputed from the merged refs under it.
     let spec = parts.iter().find_map(|p| p.validator_spec);
+    let coverage = merge_coverage(&parts.iter().map(|p| p.coverage.clone()).collect::<Vec<_>>());
+    let mut acc = IndexPartial::default();
+    let mut segment_files = Vec::new();
+    let mut quarantined_files = Vec::new();
     for part in parts {
-        coverage.segments_total += part.coverage.segments_total;
-        coverage.segments_scanned += part.coverage.segments_scanned;
-        coverage.segments_quarantined += part.coverage.segments_quarantined;
-        coverage.segments_failed += part.coverage.segments_failed;
-        coverage.bundles_scanned += part.coverage.bundles_scanned;
-        coverage.bundles_quarantined += part.coverage.bundles_quarantined;
-        coverage.bundles_failed += part.coverage.bundles_failed;
-        segments += part.totals.segments;
         segment_files.extend(part.segment_files);
         quarantined_files.extend(part.quarantined_files);
         acc.merge(IndexPartial {
             days: part.days,
             refs: part.refs,
-            non_sol: part.totals.non_sol_sandwiches,
-            max_slot: part.totals.max_slot,
+            totals: part.totals,
         });
     }
     segment_files.sort();
     quarantined_files.sort();
-    let mut folded = finalize(
-        acc,
-        coverage,
-        generation.to_string(),
-        segments,
-        spec,
-        config,
-    );
+    let mut folded = finalize(acc, coverage, generation.to_string(), spec, config);
     folded.segment_files = segment_files;
     folded.quarantined_files = quarantined_files;
     folded
@@ -576,7 +569,6 @@ fn finalize(
     mut acc: IndexPartial,
     coverage: IndexCoverage,
     generation: String,
-    segments: u64,
     spec: Option<ValidatorSpec>,
     config: &QueryConfig,
 ) -> QueryIndex {
@@ -634,7 +626,7 @@ fn finalize(
     // fold-vs-rebuild byte-identity extends to attribution for free.
     let validators = spec.map(|spec| {
         let schedule = LeaderSchedule::new(&spec);
-        let blocks_led = schedule.slots_led_through(acc.max_slot);
+        let blocks_led = schedule.slots_led_through(acc.totals.max_slot);
         let by_pubkey: HashMap<Pubkey, usize> = schedule
             .validators()
             .iter()
@@ -680,21 +672,10 @@ fn finalize(
         entries
     });
 
-    let totals = IndexTotals {
-        segments,
-        bundles: acc.days.iter().map(|d| d.bundles).sum(),
-        sandwiches: acc.refs.len() as u64,
-        non_sol_sandwiches: acc.non_sol,
-        defensive: acc.days.iter().map(|d| d.defensive).sum(),
-        victim_loss_lamports: acc.days.iter().map(|d| d.victim_loss_lamports).sum(),
-        attacker_gain_lamports: acc.days.iter().map(|d| d.attacker_gain_lamports).sum(),
-        tips_lamports: acc.days.iter().map(|d| d.tips_lamports).sum(),
-        max_slot: acc.max_slot,
-    };
     QueryIndex {
         generation,
         coverage,
-        totals,
+        totals: acc.totals,
         days: acc.days,
         refs: acc.refs,
         attackers,

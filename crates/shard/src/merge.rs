@@ -10,11 +10,13 @@
 //! Merge semantics per endpoint:
 //!
 //! - **summary** — coverage and totals are field-wise sums (`max_slot`
-//!   by max); distinct attacker/pool counts are *not* summable, so
-//!   shards ship their key lists and the router counts the union.
+//!   by max) through `sandwich_query::{merge_coverage, merge_totals}`,
+//!   the merges the index build and fold use; distinct attacker/pool
+//!   counts are *not* summable, so shards ship their key lists and the
+//!   router counts the union.
 //! - **days** — rollups are dense from day 0 on every shard; merging is
-//!   element-wise addition up to the longest list, labels agree by
-//!   construction (same clock).
+//!   `sandwich_query::merge_days` (element-wise addition up to the
+//!   longest list), labels agree by construction (same clock).
 //! - **attackers / pools** — group by key, sum the aggregates, then
 //!   re-sort with the exact leaderboard comparators from
 //!   `sandwich_query::index`; ranks fall out of the merged order.
@@ -145,75 +147,10 @@ pub struct LivePartial {
     pub minutes: Vec<LiveMinute>,
 }
 
-/// Field-wise sum of shard coverage blocks. Because the shard map
-/// partitions every manifest entry (serving and quarantined) into exactly
-/// one shard, the sum equals the single-engine coverage block.
-pub fn merge_coverage(parts: &[IndexCoverage]) -> IndexCoverage {
-    let mut merged = IndexCoverage::default();
-    for c in parts {
-        merged.segments_total += c.segments_total;
-        merged.segments_scanned += c.segments_scanned;
-        merged.segments_quarantined += c.segments_quarantined;
-        merged.segments_failed += c.segments_failed;
-        merged.bundles_scanned += c.bundles_scanned;
-        merged.bundles_quarantined += c.bundles_quarantined;
-        merged.bundles_failed += c.bundles_failed;
-    }
-    merged
-}
-
-/// Field-wise sum of shard totals (`max_slot` by max).
-pub fn merge_totals(parts: &[IndexTotals]) -> IndexTotals {
-    let mut merged = IndexTotals::default();
-    for t in parts {
-        merged.segments += t.segments;
-        merged.bundles += t.bundles;
-        merged.sandwiches += t.sandwiches;
-        merged.non_sol_sandwiches += t.non_sol_sandwiches;
-        merged.defensive += t.defensive;
-        merged.victim_loss_lamports += t.victim_loss_lamports;
-        merged.attacker_gain_lamports += t.attacker_gain_lamports;
-        merged.tips_lamports += t.tips_lamports;
-        merged.max_slot = merged.max_slot.max(t.max_slot);
-    }
-    merged
-}
-
 /// Distinct keys across shard key lists.
 pub fn distinct_count(lists: &[Vec<Pubkey>]) -> u64 {
     let set: BTreeSet<&Pubkey> = lists.iter().flatten().collect();
     set.len() as u64
-}
-
-/// Element-wise sum of dense day-rollup lists; the merged list is as long
-/// as the longest input and every day keeps its label.
-pub fn merge_days(parts: &[Vec<DayRollup>]) -> Vec<DayRollup> {
-    let len = parts.iter().map(|d| d.len()).max().unwrap_or(0);
-    let mut merged: Vec<DayRollup> = (0..len as u64)
-        .map(|day| DayRollup {
-            day,
-            bundles_by_len: vec![0; 5],
-            ..DayRollup::default()
-        })
-        .collect();
-    for part in parts {
-        for rollup in part {
-            let into = &mut merged[rollup.day as usize];
-            if into.label.is_empty() {
-                into.label = rollup.label.clone();
-            }
-            into.bundles += rollup.bundles;
-            for (a, b) in into.bundles_by_len.iter_mut().zip(&rollup.bundles_by_len) {
-                *a += b;
-            }
-            into.sandwiches += rollup.sandwiches;
-            into.defensive += rollup.defensive;
-            into.victim_loss_lamports += rollup.victim_loss_lamports;
-            into.attacker_gain_lamports += rollup.attacker_gain_lamports;
-            into.tips_lamports += rollup.tips_lamports;
-        }
-    }
-    merged
 }
 
 /// Group shard attacker entries by address, sum the aggregates, and

@@ -26,14 +26,16 @@ use serde::de::DeserializeOwned;
 use sandwich_net::{HttpClient, Method, Request, Response, Router};
 use sandwich_obs::{names, Registry};
 use sandwich_query::render::{self, error_response, DETAIL_REF_CAP};
-use sandwich_query::{CacheOutcome, CachedResponse, QueryRequest, ResponseCache, SandwichRef};
+use sandwich_query::{
+    merge_coverage, merge_days, merge_totals, CacheOutcome, CachedResponse, QueryRequest,
+    ResponseCache, SandwichRef,
+};
 use sandwich_types::Hash;
 
 use crate::merge::{
-    distinct_count, merge_attackers, merge_coverage, merge_days, merge_live, merge_pools,
-    merge_range, merge_recent, merge_totals, merge_validators, AttackerDetailPartial,
-    AttackersPartial, DaysPartial, LivePartial, PoolDetailPartial, RangePartial, SummaryPartial,
-    ValidatorDetailPartial, ValidatorsPartial,
+    distinct_count, merge_attackers, merge_live, merge_pools, merge_range, merge_recent,
+    merge_validators, AttackerDetailPartial, AttackersPartial, DaysPartial, LivePartial,
+    PoolDetailPartial, RangePartial, SummaryPartial, ValidatorDetailPartial, ValidatorsPartial,
 };
 
 /// How often a router long-poll re-fans out looking for rows past the

@@ -56,6 +56,13 @@ impl std::fmt::Display for CorruptSegment {
 
 impl std::error::Error for CorruptSegment {}
 
+/// Corruption surfaces through the store's I/O API as `InvalidData`.
+impl From<CorruptSegment> for std::io::Error {
+    fn from(e: CorruptSegment) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 impl From<VarintError> for CorruptSegment {
     fn from(_: VarintError) -> Self {
         CorruptSegment("truncated or overlong varint".into())

@@ -318,13 +318,6 @@ pub fn write_segment_file_with(
     write_durable_with(path, image, &section_boundaries(image), plan)
 }
 
-/// Read and decode a segment file.
-pub fn read_segment_file(path: &Path) -> std::io::Result<(SegmentData, SegmentFooter)> {
-    let image = std::fs::read(path)?;
-    decode_segment(&image)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +422,7 @@ mod tests {
         let d = data();
         let (image, _) = encode_segment(&d);
         write_segment_file(&path, &image).unwrap();
-        let (back, _) = read_segment_file(&path).unwrap();
+        let (back, _) = decode_segment(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back, d);
         std::fs::remove_dir_all(&dir).unwrap();
     }

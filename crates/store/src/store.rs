@@ -15,8 +15,8 @@ use crate::doctor::{check_segment, Verdict};
 use crate::manifest::{Manifest, QuarantinedSegment, SegmentMeta};
 use crate::records::{CollectedBundle, CollectedDetail, PollRecord};
 use crate::segment::{
-    encode_segment, read_segment_file, write_segment_file, write_segment_file_with, SegmentFooter,
-    FOOTER_LEN, FOOTER_LEN_V1, SEGMENT_MAGIC, SEGMENT_MAGIC_V1,
+    encode_segment, write_segment_file, write_segment_file_with, SegmentFooter, FOOTER_LEN,
+    FOOTER_LEN_V1, SEGMENT_MAGIC, SEGMENT_MAGIC_V1,
 };
 
 pub(crate) fn segment_file_name(index: usize) -> String {
@@ -298,28 +298,15 @@ impl BundleStore {
         &self.dir
     }
 
-    /// Read, verify, and decode one segment by index. Checksum or codec
-    /// failures surface as `InvalidData` errors, never as garbage records.
+    /// Read, verify, and decode one segment by index, through the same
+    /// checked open as [`Self::open_view`]. Checksum or codec failures
+    /// surface as `InvalidData` errors, never as garbage records.
     pub fn read_segment(&self, index: usize) -> std::io::Result<SegmentData> {
-        let meta = self.manifest.segments.get(index).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("segment {index} not in manifest"),
-            )
-        })?;
-        let (data, footer) = read_segment_file(&Manifest::segment_path(&self.dir, meta))?;
-        if format!("{:016x}", footer.checksum) != meta.checksum {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("segment {index} checksum disagrees with manifest"),
-            ));
-        }
-        Ok(data)
+        Ok(self.open_view(index)?.decode_all()?)
     }
 
-    /// Open a zero-copy view over one segment by index, with the same
-    /// manifest cross-check as [`Self::read_segment`] (the view itself
-    /// verifies the body and columnar checksums on open).
+    /// Open a zero-copy view over one segment by index, with the manifest
+    /// checksum cross-check of [`crate::view::SegmentView::open_sealed`].
     pub fn open_view(&self, index: usize) -> std::io::Result<crate::view::SegmentView> {
         let meta = self.manifest.segments.get(index).ok_or_else(|| {
             std::io::Error::new(
@@ -327,14 +314,7 @@ impl BundleStore {
                 format!("segment {index} not in manifest"),
             )
         })?;
-        let view = crate::view::SegmentView::open(&Manifest::segment_path(&self.dir, meta))?;
-        if format!("{:016x}", view.footer().checksum) != meta.checksum {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("segment {index} checksum disagrees with manifest"),
-            ));
-        }
-        Ok(view)
+        crate::view::SegmentView::open_sealed(&self.dir, meta)
     }
 }
 

@@ -16,6 +16,7 @@ use sandwich_types::{Hash, Pubkey, Signature, Slot};
 
 use crate::codec::{self, decode_body, decode_poll_section, CorruptSegment, SegmentData};
 use crate::column::{decode_columns, Columns};
+use crate::manifest::{Manifest, SegmentMeta};
 use crate::mmap::Mapped;
 use crate::records::{CollectedDetail, PollRecord};
 use crate::segment::{parse_segment, SegmentFooter};
@@ -49,16 +50,14 @@ impl SegmentView {
     /// view re-checks segment integrity end to end.
     pub fn open(path: &Path) -> std::io::Result<SegmentView> {
         let map = Mapped::open(path)?;
-        let corrupt =
-            |e: CorruptSegment| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-        let parsed = parse_segment(&map).map_err(corrupt)?;
+        let parsed = parse_segment(&map)?;
         let body = &map[parsed.body.clone()];
         let mut pos = 0usize;
-        let key_count = crate::varint::get_u64(body, &mut pos).map_err(|e| corrupt(e.into()))?;
+        let key_count = crate::varint::get_u64(body, &mut pos).map_err(CorruptSegment::from)?;
         if key_count > body.len() as u64 / 32 {
-            return Err(corrupt(CorruptSegment(format!(
-                "pubkey table count {key_count} exceeds body"
-            ))));
+            return Err(
+                CorruptSegment(format!("pubkey table count {key_count} exceeds body")).into(),
+            );
         }
         let keys_at = pos;
         Ok(SegmentView {
@@ -70,6 +69,21 @@ impl SegmentView {
             keys_at,
             map,
         })
+    }
+
+    /// Open the sealed segment a manifest entry names, and check that the
+    /// file's footer checksum is the one the manifest recorded at seal
+    /// time: a valid segment file that is not *this* segment is rejected
+    /// as `InvalidData`, like a corrupt one.
+    pub fn open_sealed(dir: &Path, meta: &SegmentMeta) -> std::io::Result<SegmentView> {
+        let view = SegmentView::open(&Manifest::segment_path(dir, meta))?;
+        if format!("{:016x}", view.footer.checksum) != meta.checksum {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("segment {} checksum disagrees with manifest", meta.file),
+            ));
+        }
+        Ok(view)
     }
 
     /// The segment's format version (1 or 2).

@@ -16,6 +16,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
+# The benchmark (perfbench/) is a package of its own outside the
+# workspace, so the steps above never compile it: build it here so a
+# break in the public API it calls fails this gate, not the next
+# benchmark run.
+echo "==> perfbench build"
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --offline --workspace -q
 

@@ -2,15 +2,73 @@
 //! v1 (pre-columnar, `SWSEG01`) and v2 (columnar, `SWSEG02`) segments must
 //! scan to one byte-identical report on every path — the zero-copy scan
 //! falls back to a full decode per v1 segment, takes the columnar fast
-//! path per v2 segment, and neither choice may leak into the result.
+//! path per v2 segment, and neither choice may leak into the result. The
+//! query index runs the same segment walk, so over the same stores it
+//! must agree with the scan report on every number both carry.
 
 use sandwich_core::{scan_store, scan_store_degraded, scan_store_materializing, AnalysisConfig};
 use sandwich_ledger::{SolDelta, TokenDelta, TransactionMeta};
+use sandwich_query::{build_index, QueryConfig};
 use sandwich_store::codec::SegmentData;
 use sandwich_store::records::{CollectedBundle, CollectedDetail};
 use sandwich_store::segment::{encode_segment, encode_segment_v1, write_segment_file};
 use sandwich_store::{BundleStore, Manifest, SegmentMeta};
 use sandwich_types::{Keypair, LamportDelta, Lamports, Pubkey, Slot, SlotClock};
+
+/// Both consumers of the segment walk over one store: the index's totals,
+/// per-day rollups, refs and coverage equal the degraded scan's report
+/// and coverage.
+fn assert_index_agrees_with_scan(store: &BundleStore, context: &str) {
+    let clock = SlotClock::default();
+    let cfg = AnalysisConfig::paper_defaults(1);
+    let (report, coverage) = scan_store_degraded(store, &clock, &cfg, 2, None).unwrap();
+    let config = QueryConfig {
+        clock,
+        threads: 2,
+        ..QueryConfig::default()
+    };
+    let index = build_index(store, &config).unwrap();
+    assert_eq!(
+        index.totals.sandwiches,
+        report.findings.len() as u64,
+        "{context}: sandwich totals"
+    );
+    assert_eq!(
+        index.days.len(),
+        report.sandwiches_per_day.values.len(),
+        "{context}"
+    );
+    for (d, day) in index.days.iter().enumerate() {
+        let bundles: f64 = report
+            .bundles_by_len_per_day
+            .iter()
+            .map(|series| series.values[d])
+            .sum();
+        assert_eq!(day.bundles as f64, bundles, "{context}: day {d} bundles");
+        assert_eq!(
+            day.sandwiches as f64, report.sandwiches_per_day.values[d],
+            "{context}: day {d} sandwiches"
+        );
+        assert_eq!(
+            day.defensive as f64, report.defensive_per_day.values[d],
+            "{context}: day {d} defensive"
+        );
+        assert_eq!(
+            day.victim_loss_lamports as f64 / 1e9,
+            report.victim_loss_sol_per_day.values[d],
+            "{context}: day {d} loss"
+        );
+        assert_eq!(
+            day.attacker_gain_lamports as f64 / 1e9,
+            report.attacker_gain_sol_per_day.values[d],
+            "{context}: day {d} gain"
+        );
+    }
+    let ref_ids: Vec<_> = index.refs.iter().map(|r| r.bundle_id).collect();
+    let finding_ids: Vec<_> = report.findings.iter().map(|f| f.bundle_id).collect();
+    assert_eq!(ref_ids, finding_ids, "{context}: sandwich ids");
+    assert_eq!(index.coverage, coverage, "{context}: coverage");
+}
 
 /// One segment's worth of records: a detectable sandwich trio plus a
 /// length-1 bundle, offset by `base` so the two segments don't collide.
@@ -135,6 +193,7 @@ fn mixed_version_store_scans_byte_identically() {
     // Both planted sandwiches (one per segment, one per format) are found.
     let report = scan_store(&store, &clock, &cfg, 2).unwrap();
     assert_eq!(report.findings.len(), 2, "one sandwich per segment version");
+    assert_index_agrees_with_scan(&store, "mixed");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -208,6 +267,7 @@ fn quarantined_segment_in_a_mixed_store_scans_with_exact_coverage() {
     // explicitly, not silently miscounted.
     let scanned = scan_store(&store, &clock, &cfg, 2).unwrap();
     assert_eq!(scanned.findings.len(), 2);
+    assert_index_agrees_with_scan(&store, "quarantined");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -8,11 +8,11 @@
 use proptest::prelude::*;
 
 use sandwich_query::{
-    AttackerEntry, DayRollup, IndexCoverage, IndexTotals, PoolEntry, SandwichRef, ValidatorEntry,
+    merge_coverage, merge_days, merge_totals, AttackerEntry, DayRollup, IndexCoverage, IndexTotals,
+    PoolEntry, SandwichRef, ValidatorEntry,
 };
 use sandwich_shard::merge::{
-    merge_attackers, merge_coverage, merge_days, merge_pools, merge_range, merge_recent,
-    merge_totals, merge_validators, RangePartial,
+    merge_attackers, merge_pools, merge_range, merge_recent, merge_validators, RangePartial,
 };
 use sandwich_types::{Hash, Keypair, Pubkey};
 

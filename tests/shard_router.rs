@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use sandwich_bench::scale::{generate, ScaleConfig};
 use sandwich_net::{HttpClient, Method, Request, Server};
 use sandwich_obs::Registry;
-use sandwich_query::{QueryRequest, QueryService, QueryServiceConfig};
-use sandwich_shard::merge::{merge_coverage, SummaryPartial};
+use sandwich_query::{merge_coverage, QueryRequest, QueryService, QueryServiceConfig};
+use sandwich_shard::merge::SummaryPartial;
 use sandwich_shard::{
     ClusterConfig, RouterConfig, RouterService, ServingCluster, ShardConfig, ShardMap, ShardService,
 };

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use sandwich_core::{
-    run_measurement_with, scan_store_observed, AnalysisConfig, Checkpoint, CollectorConfig,
+    run_measurement_with, scan_store_degraded, AnalysisConfig, Checkpoint, CollectorConfig,
     PipelineConfig, RunOptions, StoreOptions,
 };
 use sandwich_explorer::{ExplorerConfig, FaultPlanConfig};
@@ -160,7 +160,7 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
 
     // A standalone observed scan records the scan.* metrics too.
     let registry = Registry::new();
-    let _ = scan_store_observed(store, &run.clock, &cfg, 4, Some(&registry)).unwrap();
+    let _ = scan_store_degraded(store, &run.clock, &cfg, 4, Some(&registry)).unwrap();
     let snap = registry.snapshot();
     assert_eq!(
         snap.counter(sandwich_obs::names::SCAN_SEGMENTS_SCANNED),
