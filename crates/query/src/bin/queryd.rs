@@ -1,7 +1,9 @@
 //! `queryd` — the analytics API daemon.
 //!
 //! Opens a sealed bundle store, loads or builds the query index, and
-//! serves the `/api/*` endpoints plus `/metrics` until killed.
+//! serves the `/api/*` endpoints plus `/metrics` until killed, through
+//! the shared `/api/*` front-end over the local-engine backend (the
+//! same front-end `shardd` runs over its scatter-gather backend).
 //!
 //! Environment:
 //! - `SANDWICH_QUERY_STORE`  — store directory (default `collector.store`)

@@ -4,7 +4,10 @@
 //! response implicitly — stale entries simply stop being addressable and
 //! age out of the LRU. Identical concurrent misses are deduplicated: the
 //! first request evaluates, the rest await the published result on a
-//! `watch` channel instead of re-evaluating.
+//! `watch` channel instead of re-evaluating. A server error (5xx) is
+//! published to those waiters but never inserted: a transient failure
+//! (a dead shard, a reload in flight) is retried by the next request,
+//! not served for the rest of the generation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -75,6 +78,24 @@ impl Shard {
     }
 }
 
+/// A leader's claim on an in-flight key. If the leader never publishes —
+/// its compute panicked or its future was dropped — the claim is released
+/// on drop; otherwise every later lookup of the key would wait on a
+/// channel that can never fire.
+struct LeaderSlot<'a> {
+    shard: &'a Mutex<Shard>,
+    key: &'a str,
+    armed: bool,
+}
+
+impl Drop for LeaderSlot<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.shard.lock().inflight.remove(self.key);
+        }
+    }
+}
+
 /// The cache: `shards` independent LRU maps, each bounded to
 /// `per_shard_cap` entries.
 pub struct ResponseCache {
@@ -113,13 +134,6 @@ impl ResponseCache {
     /// True when no shard holds an entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop `key` from the resident entries, if present. The router uses
-    /// this to un-cache a transient scatter-gather failure (a 503 from a
-    /// dead shard must not be served from cache once the shard is back).
-    pub fn invalidate(&self, key: &str) {
-        self.shard_of(key).lock().entries.remove(key);
     }
 
     /// Look `key` up; on a miss run `compute` (synchronously, outside the
@@ -186,11 +200,24 @@ impl ResponseCache {
                     let Some(compute) = compute.take() else {
                         unreachable!("leader role is taken at most once per call");
                     };
+                    // Declared after `tx`, so dropped before it: a leader
+                    // that never publishes frees its slot before waiters
+                    // wake, and one of them takes the lead.
+                    let mut slot = LeaderSlot {
+                        shard: self.shard_of(key),
+                        key,
+                        armed: true,
+                    };
                     let value = Arc::new(compute().await);
                     let evicted = {
-                        let mut shard = self.shard_of(key).lock();
+                        let mut shard = slot.shard.lock();
                         shard.inflight.remove(key);
-                        shard.insert(key.to_string(), value.clone(), self.per_shard_cap)
+                        slot.armed = false;
+                        if value.status >= 500 {
+                            0
+                        } else {
+                            shard.insert(key.to_string(), value.clone(), self.per_shard_cap)
+                        }
                     };
                     let _ = tx.send(Some(value.clone()));
                     return (value, CacheOutcome::Miss, evicted);
@@ -298,5 +325,31 @@ mod tests {
                 CacheOutcome::Miss | CacheOutcome::Deduped | CacheOutcome::Hit
             )));
         });
+    }
+
+    #[test]
+    fn panicking_leader_does_not_poison_its_key() {
+        // Bounded by a timeout, never by a hang: a poisoned key makes the
+        // second lookup spin forever.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            block_on(async {
+                let cache = Arc::new(ResponseCache::new(1, 4));
+                let leader = {
+                    let cache = cache.clone();
+                    tokio::spawn(async move {
+                        cache.get_or_compute("k", || panic!("compute failed")).await
+                    })
+                };
+                assert!(leader.await.is_err(), "the leader's compute panicked");
+                let (value, outcome, _) = cache.get_or_compute("k", || response("ok")).await;
+                let _ = done.send((value.body.clone(), outcome));
+            })
+        });
+        let (body, outcome) = finished
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a lookup after a panicking leader must not hang");
+        assert_eq!(body, b"ok");
+        assert_eq!(outcome, CacheOutcome::Miss);
     }
 }

@@ -10,12 +10,16 @@
 //! - [`engine`] + [`cache`] — typed requests evaluate against one
 //!   immutable index snapshot; a sharded LRU with single-flight
 //!   deduplication makes the hot path allocation-free after first touch.
-//! - [`service`] — the `queryd` HTTP API over `sandwich-net`, exporting
-//!   `query.*` metrics through `sandwich-obs`.
+//! - [`frontend`] — the one `/api/*` front-end (admission, per-request
+//!   generation pin, cached single-flight answers, the `/api/live`
+//!   long-poll, probes, `query.*` metrics) over a [`Backend`];
+//!   [`service`] is `queryd`'s local-engine backend, the shard router in
+//!   `sandwich-shard` the scatter-gather one.
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod engine;
+pub mod frontend;
 pub mod index;
 pub mod render;
 pub mod service;
@@ -25,6 +29,7 @@ pub use engine::{
     decode_live_cursor, encode_live_cursor, origin_cursor, Engine, QueryRequest, DEFAULT_LIMIT,
     MAX_LIMIT, MAX_LIVE_WAIT_MS,
 };
+pub use frontend::{Backend, FrontEnd, DEFAULT_MAX_IN_FLIGHT};
 pub use index::{
     build_index, build_index_subset, first_ref_after_cursor, fold_indexes, generation_of,
     live_minutes, load_index, load_index_any, load_index_as, merge_coverage, merge_days,

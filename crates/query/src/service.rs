@@ -1,47 +1,44 @@
-//! The `queryd` HTTP service: routes, caching, metrics, and engine
-//! lifecycle (load-fold-or-build on open, atomic swap on reload).
+//! The `queryd` service: the shared [`FrontEnd`] over one local engine,
+//! plus the engine lifecycle (load-fold-or-build on open, atomic swap on
+//! reload).
 //!
 //! Reloads are **incremental**: a generation change is absorbed by
-//! scanning only the manifest delta and folding it into the live index
-//! ([`fold_from_base`]), which is byte-identical to a full rebuild;
-//! `query.index.full_rebuilds` counts the (expected-never) fallbacks.
-//! `/api/live` streams newly folded sandwiches behind an opaque cursor,
-//! with a bounded long-poll that waits for the next fold.
+//! scanning only the manifest delta and folding it into the live index,
+//! which is byte-identical to a full rebuild; `query.index.full_rebuilds`
+//! counts the (expected-never) fallbacks. `/api/live` long-polls wait for
+//! the next fold.
 //!
-//! Consistency model: a handler snapshots the engine `Arc` exactly once
-//! per request, so every response is computed against a single manifest
-//! generation even while a reload swaps the engine mid-flight — there are
-//! no torn reads by construction. The generation that answered is echoed
-//! in the `x-query-generation` response header.
+//! Consistency model: a request pins the engine `Arc` it answers from
+//! (the front-end's per-request pin), so every response is computed
+//! against a single manifest generation even while a reload swaps the
+//! engine mid-flight — there are no torn reads by construction.
 //!
 //! Degraded mode: the service keeps serving through partial failure
 //! instead of dying. Index builds skip unreadable segments (coverage is
-//! reported on `/api/summary`), a failed reload keeps the last good
+//! reported on `/api/summary`), and a failed reload keeps the last good
 //! engine serving (stale-while-revalidate; `/readyz` flips to 503 until
-//! a reload succeeds), and bounded-in-flight admission control sheds
-//! excess API load with `503` + `Retry-After` rather than queueing
-//! without bound. `/healthz` answers as long as the process serves.
+//! a reload succeeds). Admission control and the probes are the
+//! front-end's.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use sandwich_net::{Method, Request, Response, Router};
+use sandwich_net::Router;
 use sandwich_obs::{names, Registry};
 use sandwich_store::{BundleStore, Manifest};
+use sandwich_types::Hash;
 
-use crate::cache::{CacheOutcome, ResponseCache};
-use crate::engine::{error_response, Engine, QueryRequest};
+use crate::cache::CachedResponse;
+use crate::engine::{Engine, QueryRequest};
+use crate::frontend::{Backend, FrontEnd, DEFAULT_MAX_IN_FLIGHT};
 use crate::index::{
     build_index, build_index_subset, fold_indexes, generation_of, load_index, load_index_any,
     save_index, IndexReject, QueryConfig, QueryIndex, INDEX_FILE,
 };
-
-/// How often a long-poll re-checks the engine for rows past its cursor.
-const LONG_POLL_TICK: Duration = Duration::from_millis(12);
 
 /// Tunables for one service instance.
 #[derive(Clone, Debug)]
@@ -50,10 +47,6 @@ pub struct QueryServiceConfig {
     pub store_dir: PathBuf,
     /// Index-build semantics (detector, threshold, clock, threads).
     pub query: QueryConfig,
-    /// Response-cache shards.
-    pub cache_shards: usize,
-    /// Entries per cache shard.
-    pub cache_per_shard: usize,
     /// Bound on concurrently-admitted API requests; excess load is shed
     /// with `503` + `Retry-After`. Zero admits nothing (useful in tests);
     /// `/healthz`, `/readyz`, and `/metrics` are always exempt.
@@ -61,44 +54,66 @@ pub struct QueryServiceConfig {
 }
 
 impl QueryServiceConfig {
-    /// Paper-default semantics over `store_dir` with a small cache.
+    /// Paper-default semantics over `store_dir`.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         QueryServiceConfig {
             store_dir: store_dir.into(),
             query: QueryConfig::default(),
-            cache_shards: 8,
-            cache_per_shard: 128,
-            max_in_flight: 256,
+            max_in_flight: DEFAULT_MAX_IN_FLIGHT,
         }
     }
 }
 
-struct ServiceInner {
+/// The local backend: one engine snapshot at a time, swapped on reload.
+struct Local {
     config: QueryServiceConfig,
     engine: RwLock<Arc<Engine>>,
-    cache: ResponseCache,
     registry: Registry,
-    /// API requests currently admitted (admission control).
-    in_flight: AtomicUsize,
     /// Whether the most recent reload attempt succeeded. Starts true (an
     /// open that fails never constructs a service at all).
     last_reload_ok: AtomicBool,
 }
 
-/// Decrements the in-flight gauge when an admitted request finishes,
-/// however it finishes.
-struct InFlightGuard<'a>(&'a AtomicUsize);
+impl Backend for Local {
+    type Pin = Arc<Engine>;
 
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
+    const LONG_POLL_TICK: Duration = Duration::from_millis(12);
+
+    fn pin(&self) -> Arc<Engine> {
+        self.engine.read().clone()
+    }
+
+    fn generation(pin: &Arc<Engine>) -> &str {
+        pin.generation()
+    }
+
+    async fn evaluate(&self, pin: &Arc<Engine>, query: &QueryRequest) -> CachedResponse {
+        pin.evaluate(query)
+    }
+
+    async fn live_rows_after(&self, pin: &Arc<Engine>, after_slot: u64, after_id: &Hash) -> usize {
+        pin.live_rows_after(after_slot, after_id)
+    }
+
+    fn health_fields(&self) -> String {
+        String::new()
+    }
+
+    /// Not ready while the last reload failed (the stale generation keeps
+    /// serving); also reports whether the index covers the whole store.
+    async fn readiness(&self, pin: &Arc<Engine>) -> (bool, String) {
+        let complete = pin.index().coverage.complete();
+        (
+            self.last_reload_ok.load(Ordering::Acquire),
+            format!(",\"complete\":{complete}"),
+        )
     }
 }
 
 /// The query service: open once, serve many, reload on demand.
 #[derive(Clone)]
 pub struct QueryService {
-    inner: Arc<ServiceInner>,
+    front: FrontEnd<Local>,
 }
 
 /// Rebuild the whole index from segments, persist it, and record timing.
@@ -170,11 +185,37 @@ fn fold_from_base(
     Ok(Some(folded))
 }
 
-/// Record attribution coverage for an index that is about to go live:
-/// one schedule build when a validator spec was in play, plus how many
-/// sealed sandwiches joined to a slot leader and how many fell back to
-/// the unattributed decode path.
-fn record_attrib_metrics(index: &QueryIndex, registry: &Registry) {
+/// Fold the manifest delta into `base` and persist the result when the
+/// delta is foldable; otherwise rebuild from segments (counted as a full
+/// rebuild).
+fn fold_or_rebuild(
+    store: &BundleStore,
+    base: Option<QueryIndex>,
+    generation: &str,
+    config: &QueryConfig,
+    registry: &Registry,
+) -> std::io::Result<QueryIndex> {
+    if let Some(base) = base {
+        if let Some(folded) = fold_from_base(store, base, generation, config, registry)? {
+            save_index(store.dir(), &folded)?;
+            return Ok(folded);
+        }
+    }
+    registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
+    rebuild_all(store, config, registry)
+}
+
+/// Wrap an index that is about to go live in an engine, recording its
+/// failed segments and its attribution coverage: one schedule build when
+/// a validator spec was in play, plus how many sealed sandwiches joined
+/// to a slot leader and how many fell back to the unattributed decode
+/// path.
+fn go_live(index: QueryIndex, registry: &Registry) -> Engine {
+    if index.coverage.segments_failed > 0 {
+        registry
+            .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
+            .add(index.coverage.segments_failed);
+    }
     if index.validator_spec.is_some() {
         registry.counter(names::ATTRIB_SCHEDULE_BUILDS).inc();
     }
@@ -188,6 +229,7 @@ fn record_attrib_metrics(index: &QueryIndex, registry: &Registry) {
             .counter(names::ATTRIB_UNATTRIBUTED)
             .add(unattributed);
     }
+    Engine::new(Arc::new(index))
 }
 
 /// Load the persisted index when it verifies, fold forward when it is
@@ -207,20 +249,8 @@ fn load_or_build(
         Err(IndexReject::StaleGeneration { .. }) => {
             // The frame is intact, just older: fold the manifest delta
             // into it instead of rescanning the world.
-            let folded = match load_index_any(store.dir(), INDEX_FILE) {
-                Ok(base) => fold_from_base(store, base, &generation, config, registry)?,
-                Err(_) => None,
-            };
-            match folded {
-                Some(folded) => {
-                    save_index(store.dir(), &folded)?;
-                    folded
-                }
-                None => {
-                    registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
-                    rebuild_all(store, config, registry)?
-                }
-            }
+            let base = load_index_any(store.dir(), INDEX_FILE).ok();
+            fold_or_rebuild(store, base, &generation, config, registry)?
         }
         Err(reject) => {
             if reject != IndexReject::Missing {
@@ -229,13 +259,7 @@ fn load_or_build(
             rebuild_all(store, config, registry)?
         }
     };
-    if index.coverage.segments_failed > 0 {
-        registry
-            .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
-            .add(index.coverage.segments_failed);
-    }
-    record_attrib_metrics(&index, registry);
-    Ok(Engine::new(Arc::new(index)))
+    Ok(go_live(index, registry))
 }
 
 impl QueryService {
@@ -244,33 +268,37 @@ impl QueryService {
     pub fn open(config: QueryServiceConfig, registry: Registry) -> std::io::Result<QueryService> {
         let store = BundleStore::open(&config.store_dir)?;
         let engine = load_or_build(&store, &config.query, &registry)?;
-        let cache = ResponseCache::new(config.cache_shards, config.cache_per_shard);
+        let max_in_flight = config.max_in_flight;
+        let local = Local {
+            config,
+            engine: RwLock::new(Arc::new(engine)),
+            registry: registry.clone(),
+            last_reload_ok: AtomicBool::new(true),
+        };
         Ok(QueryService {
-            inner: Arc::new(ServiceInner {
-                config,
-                engine: RwLock::new(Arc::new(engine)),
-                cache,
-                registry,
-                in_flight: AtomicUsize::new(0),
-                last_reload_ok: AtomicBool::new(true),
-            }),
+            front: FrontEnd::new(local, max_in_flight, registry),
         })
     }
 
     /// The generation currently being served.
     pub fn generation(&self) -> String {
-        self.inner.engine.read().generation().to_string()
+        self.engine_snapshot().generation().to_string()
     }
 
     /// The metrics registry this service records into.
     pub fn registry(&self) -> &Registry {
-        &self.inner.registry
+        self.front.registry()
     }
 
     /// The engine snapshot currently serving (for harnesses that compare
     /// live responses against uncached evaluation).
     pub fn engine_snapshot(&self) -> Arc<Engine> {
-        self.inner.engine.read().clone()
+        self.front.backend().pin()
+    }
+
+    /// The API router: `/api/*`, `/healthz`, `/readyz`, and `/metrics`.
+    pub fn router(&self) -> Router {
+        self.front.router()
     }
 
     /// Re-check the manifest; when its generation changed, load-or-build
@@ -282,245 +310,38 @@ impl QueryService {
     /// engine serving and flips `/readyz` to 503 until a later reload
     /// succeeds. The error is still returned for the caller to log.
     pub fn reload(&self) -> std::io::Result<bool> {
-        let result = self.reload_inner();
-        self.inner
+        let local = self.front.backend();
+        let result = local.reload();
+        local
             .last_reload_ok
             .store(result.is_ok(), Ordering::Release);
         result
     }
+}
 
-    fn reload_inner(&self) -> std::io::Result<bool> {
-        let manifest = Manifest::load(&self.inner.config.store_dir)?;
+impl Local {
+    fn reload(&self) -> std::io::Result<bool> {
+        let manifest = Manifest::load(&self.config.store_dir)?;
         let generation = generation_of(&manifest);
         // Same generation (including a no-op manifest touch): nothing to
         // do, and crucially the response cache — whose keys are
         // generation-prefixed — keeps every warm entry.
-        if *self.inner.engine.read().generation() == generation {
+        if *self.engine.read().generation() == generation {
             return Ok(false);
         }
-        let store = BundleStore::open(&self.inner.config.store_dir)?;
+        let store = BundleStore::open(&self.config.store_dir)?;
         let generation = generation_of(store.manifest());
-        let registry = &self.inner.registry;
-        let config = &self.inner.config.query;
+        let registry = &self.registry;
+        let config = &self.config.query;
         // Fold forward from the index already in memory — the common
         // seal-only case scans just the new segments. Anything else
         // (compaction, quarantine of a covered segment) falls back to a
         // full rebuild.
-        let base = self.inner.engine.read().index().clone();
-        let index = match fold_from_base(&store, base, &generation, config, registry)? {
-            Some(folded) => {
-                save_index(store.dir(), &folded)?;
-                folded
-            }
-            None => {
-                registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
-                rebuild_all(&store, config, registry)?
-            }
-        };
-        if index.coverage.segments_failed > 0 {
-            registry
-                .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
-                .add(index.coverage.segments_failed);
-        }
-        record_attrib_metrics(&index, registry);
-        *self.inner.engine.write() = Arc::new(Engine::new(Arc::new(index)));
+        let base = self.engine.read().index().clone();
+        let index = fold_or_rebuild(&store, Some(base), &generation, config, registry)?;
+        *self.engine.write() = Arc::new(go_live(index, registry));
         registry.counter(names::QUERY_RELOADS).inc();
         Ok(true)
-    }
-
-    /// Try to admit one API request under the in-flight bound.
-    fn admit(&self) -> Option<InFlightGuard<'_>> {
-        let inner = &self.inner;
-        let prev = inner.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= inner.config.max_in_flight {
-            inner.in_flight.fetch_sub(1, Ordering::Release);
-            inner.registry.counter(names::QUERY_SHED).inc();
-            None
-        } else {
-            Some(InFlightGuard(&inner.in_flight))
-        }
-    }
-
-    /// `GET /healthz`: liveness. 200 as long as the process can answer at
-    /// all — never gated on admission control or reload state.
-    fn health_response(&self) -> Response {
-        let body = format!(
-            "{{\"status\":\"ok\",\"generation\":\"{}\"}}",
-            self.generation()
-        );
-        Response::new(200, body.into_bytes()).header("content-type", "application/json")
-    }
-
-    /// `GET /readyz`: readiness. 503 while the last reload attempt
-    /// failed (the service keeps serving its stale generation meanwhile);
-    /// also reports whether the served index covers the whole store.
-    fn ready_response(&self) -> Response {
-        let ok = self.inner.last_reload_ok.load(Ordering::Acquire);
-        let engine = self.engine_snapshot();
-        let body = format!(
-            "{{\"ready\":{ok},\"complete\":{},\"generation\":\"{}\"}}",
-            engine.index().coverage.complete(),
-            engine.generation()
-        );
-        let response = Response::new(if ok { 200 } else { 503 }, body.into_bytes())
-            .header("content-type", "application/json");
-        if ok {
-            response
-        } else {
-            response.header("retry-after", "3")
-        }
-    }
-
-    async fn handle(&self, endpoint: &'static str, request: Request) -> Response {
-        let inner = &self.inner;
-        inner.registry.counter(names::QUERY_REQUESTS).inc();
-        match endpoint {
-            "validators" => inner
-                .registry
-                .counter(names::QUERY_VALIDATORS_REQUESTS)
-                .inc(),
-            "validator" => inner
-                .registry
-                .counter(names::QUERY_VALIDATOR_DETAIL_REQUESTS)
-                .inc(),
-            _ => {}
-        }
-        let timer = Instant::now();
-
-        // Admission control: bound concurrent API work, shed the rest
-        // with an explicit retry hint instead of queueing without bound.
-        let Some(_guard) = self.admit() else {
-            let shed = error_response(503, "server at capacity, retry shortly");
-            return Response::new(shed.status, shed.body)
-                .header("content-type", &shed.content_type)
-                .header("retry-after", "1");
-        };
-
-        let parsed = QueryRequest::parse(endpoint, &request);
-
-        // Live long-poll: before taking the answering snapshot, wait
-        // (bounded by the request's `wait_ms`) for a reload to fold in
-        // rows past the caller's cursor. The wait itself holds no lock —
-        // each tick re-reads the freshest engine.
-        if let Ok(QueryRequest::Live {
-            after_slot,
-            after_id,
-            wait_ms,
-            ..
-        }) = &parsed
-        {
-            inner.registry.counter(names::QUERY_LIVE_REQUESTS).inc();
-            if *wait_ms > 0 {
-                inner.registry.counter(names::QUERY_LIVE_LONG_POLLS).inc();
-                let waited = Instant::now();
-                let deadline = Duration::from_millis(*wait_ms);
-                while inner.engine.read().live_rows_after(*after_slot, after_id) == 0
-                    && waited.elapsed() < deadline
-                {
-                    tokio::time::sleep(LONG_POLL_TICK).await;
-                }
-                inner
-                    .registry
-                    .histogram(names::QUERY_LIVE_WAIT_SECONDS)
-                    .observe(waited.elapsed().as_secs_f64());
-            }
-        }
-
-        // One engine snapshot per request: everything below answers from
-        // this generation, reloads notwithstanding.
-        let engine: Arc<Engine> = inner.engine.read().clone();
-
-        if let Ok(QueryRequest::Live {
-            after_slot,
-            after_id,
-            limit,
-            ..
-        }) = &parsed
-        {
-            let rows = engine.live_rows_after(*after_slot, after_id).min(*limit);
-            if rows > 0 {
-                inner
-                    .registry
-                    .counter(names::QUERY_LIVE_ROWS)
-                    .add(rows as u64);
-            }
-        }
-
-        let response = match parsed {
-            Err(message) => {
-                // Invalid parameters never reach the cache.
-                let cached = error_response(400, message);
-                (Arc::new(cached), CacheOutcome::Miss, 0)
-            }
-            Ok(query) => {
-                let key = format!("{}|{}", engine.generation(), query.canonical_key());
-                let evaluate = {
-                    let engine = engine.clone();
-                    move || engine.evaluate(&query)
-                };
-                inner.cache.get_or_compute(&key, evaluate).await
-            }
-        };
-        let (cached, outcome, evicted) = response;
-        match outcome {
-            CacheOutcome::Hit => inner.registry.counter(names::QUERY_CACHE_HITS).inc(),
-            CacheOutcome::Miss => inner.registry.counter(names::QUERY_CACHE_MISSES).inc(),
-            CacheOutcome::Deduped => {
-                inner
-                    .registry
-                    .counter(names::QUERY_CACHE_SINGLE_FLIGHT_WAITS)
-                    .inc();
-                inner.registry.counter(names::QUERY_CACHE_HITS).inc();
-            }
-        }
-        if evicted > 0 {
-            inner
-                .registry
-                .counter(names::QUERY_CACHE_EVICTIONS)
-                .add(evicted);
-        }
-        inner
-            .registry
-            .histogram(&format!("{}{endpoint}", names::QUERY_SECONDS_PREFIX))
-            .observe(timer.elapsed().as_secs_f64());
-
-        Response::new(cached.status, cached.body.clone())
-            .header("content-type", &cached.content_type)
-            .header("x-query-generation", engine.generation())
-    }
-
-    /// The API router (plus `GET /metrics` from the shared registry).
-    pub fn router(&self) -> Router {
-        let endpoints: [(&'static str, &'static str); 9] = [
-            ("summary", "/api/summary"),
-            ("days", "/api/days"),
-            ("attackers", "/api/attackers"),
-            ("attacker", "/api/attacker/{pubkey}"),
-            ("pool", "/api/pool/{mint}"),
-            ("sandwiches", "/api/sandwiches"),
-            ("live", "/api/live"),
-            ("validators", "/api/validators"),
-            ("validator", "/api/validator/{pubkey}"),
-        ];
-        let mut router = Router::new();
-        for (endpoint, path) in endpoints {
-            let service = self.clone();
-            router = router.route(Method::Get, path, move |request: Request| {
-                let service = service.clone();
-                async move { service.handle(endpoint, request).await }
-            });
-        }
-        let service = self.clone();
-        router = router.route(Method::Get, "/healthz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.health_response() }
-        });
-        let service = self.clone();
-        router = router.route(Method::Get, "/readyz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.ready_response() }
-        });
-        router.with_metrics(self.inner.registry.clone())
     }
 }
 

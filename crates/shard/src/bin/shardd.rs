@@ -2,7 +2,9 @@
 //!
 //! Opens a sealed bundle store, partitions it across N shard engines per
 //! the persisted shard map (planning one on first run), and serves the
-//! same `/api/*` surface as `queryd` through a scatter-gather router.
+//! same `/api/*` surface as `queryd` through a scatter-gather router —
+//! `queryd`'s own front-end (admission, cache, long-poll, metrics) over
+//! a scatter-gather backend.
 //! Every shard gets its own listener; the router talks to them over HTTP,
 //! so a multi-node deployment is a config change, not a rewrite.
 //!

@@ -13,11 +13,11 @@ use std::path::PathBuf;
 
 use sandwich_net::Server;
 use sandwich_obs::Registry;
-use sandwich_query::{generation_of, QueryConfig};
+use sandwich_query::{generation_of, QueryConfig, DEFAULT_MAX_IN_FLIGHT};
 use sandwich_store::{BundleStore, Manifest};
 
 use crate::map::ShardMap;
-use crate::router::{RouterConfig, RouterService};
+use crate::router::RouterService;
 use crate::shard::{shard_index_file, ShardConfig, ShardService, SHARD_INDEX_PREFIX};
 
 /// Tunables for one serving cluster.
@@ -34,10 +34,6 @@ pub struct ClusterConfig {
     pub router_addr: String,
     /// Bind address for each shard listener (port 0 for ephemeral).
     pub shard_addr: String,
-    /// Router response-cache shards.
-    pub cache_shards: usize,
-    /// Entries per router cache shard.
-    pub cache_per_shard: usize,
     /// Router admission-control bound.
     pub max_in_flight: usize,
 }
@@ -52,9 +48,7 @@ impl ClusterConfig {
             query: QueryConfig::default(),
             router_addr: "127.0.0.1:0".to_string(),
             shard_addr: "127.0.0.1:0".to_string(),
-            cache_shards: 8,
-            cache_per_shard: 128,
-            max_in_flight: 256,
+            max_in_flight: DEFAULT_MAX_IN_FLIGHT,
         }
     }
 }
@@ -117,11 +111,7 @@ impl ServingCluster {
         let router = RouterService::new(
             shard_addrs,
             map.generation.clone(),
-            RouterConfig {
-                cache_shards: config.cache_shards,
-                cache_per_shard: config.cache_per_shard,
-                max_in_flight: config.max_in_flight,
-            },
+            config.max_in_flight,
             registry.clone(),
         );
         let router_server = Server::bind(&config.router_addr, router.router()).await?;

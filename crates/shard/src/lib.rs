@@ -15,11 +15,14 @@
 //!   shard count.
 //! - [`shard`] — [`ShardService`]: one engine per shard, built with
 //!   `build_index_subset` over the shard's slice of the manifest,
-//!   persisted per-shard, with its own response cache and health probes.
-//! - [`router`] — [`RouterService`]: fans `/api/*` out to the shards,
+//!   persisted per-shard, with its own response cache; it mounts the
+//!   shared endpoint table under `/shard/` and the shared probes.
+//! - [`router`] — [`RouterService`]: `sandwich-query`'s one `/api/*`
+//!   front-end (admission, cache, long-poll, metrics, probes) over a
+//!   scatter-gather backend that fans each request out to the shards,
 //!   checks generation agreement, merges partials, re-paginates, and
-//!   aggregates `/healthz` / `/readyz` (degraded-but-serving while at
-//!   least one shard is ready).
+//!   aggregates readiness (degraded-but-serving while at least one shard
+//!   is ready).
 //! - [`cluster`] — single-process assembly: N shard listeners plus the
 //!   router over real sockets, so multi-node is a config change, not a
 //!   rewrite.
@@ -34,5 +37,5 @@ pub mod shard;
 
 pub use cluster::{ClusterConfig, ServingCluster};
 pub use map::{ShardMap, ShardMapReject, ShardSpec, SHARD_MAP_FILE, SHARD_MAP_MAGIC};
-pub use router::{RouterConfig, RouterService};
+pub use router::RouterService;
 pub use shard::{shard_index_file, ShardConfig, ShardService, SHARD_INDEX_PREFIX};

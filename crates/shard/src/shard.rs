@@ -16,13 +16,13 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use sandwich_net::{Method, Request, Response, Router};
+use sandwich_net::{Request, Response, Router};
 use sandwich_obs::{names, Registry};
+use sandwich_query::frontend::{health_response, ready_response, routes};
 use sandwich_query::render::{error_response, DETAIL_REF_CAP};
 use sandwich_query::{
     build_index_subset, first_ref_after_cursor, generation_of, live_minutes, load_index_as,
-    save_index_as, AttackerEntry, CachedResponse, Engine, PoolEntry, QueryConfig, ResponseCache,
-    SandwichRef, ValidatorEntry,
+    save_index_as, CachedResponse, Engine, QueryConfig, ResponseCache, SandwichRef,
 };
 use sandwich_store::BundleStore;
 use sandwich_types::{Hash, Pubkey};
@@ -44,6 +44,12 @@ pub fn shard_index_file(shard: usize, shards: usize, fingerprint: &str) -> Strin
 /// collection of stale fingerprints).
 pub const SHARD_INDEX_PREFIX: &str = "query-index.shard-";
 
+/// Response-cache shards of one shard service.
+const CACHE_SHARDS: usize = 4;
+
+/// Entries per shard-service cache shard.
+const CACHE_PER_SHARD: usize = 64;
+
 /// Tunables for one shard service.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
@@ -53,10 +59,6 @@ pub struct ShardConfig {
     pub query: QueryConfig,
     /// This shard's id (index into the shard map).
     pub shard: usize,
-    /// Response-cache shards.
-    pub cache_shards: usize,
-    /// Entries per cache shard.
-    pub cache_per_shard: usize,
 }
 
 impl ShardConfig {
@@ -66,8 +68,6 @@ impl ShardConfig {
             store_dir: store_dir.into(),
             query: QueryConfig::default(),
             shard,
-            cache_shards: 4,
-            cache_per_shard: 64,
         }
     }
 }
@@ -94,7 +94,71 @@ enum ShardQuery {
     },
 }
 
+/// `entries` with their refs cleared: rank and row data only, off the
+/// wire. A validator's `sandwich_slots` stays: the router's distinct-block
+/// merge needs the slot union.
+fn without_refs<T: Clone>(entries: &[T], refs: fn(&mut T) -> &mut Vec<u32>) -> Vec<T> {
+    let strip = |entry: &T| {
+        let mut entry = entry.clone();
+        *refs(&mut entry) = Vec::new();
+        entry
+    };
+    entries.iter().map(strip).collect()
+}
+
+/// Query parameter `key` parsed as a `T`, or `default` when absent.
+fn param<T: std::str::FromStr>(request: &Request, key: &str, default: T) -> Result<T, String> {
+    match request.query.get(key) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("query parameter {key:?} must be an integer")),
+    }
+}
+
 impl ShardQuery {
+    /// Parse the request to shard endpoint `kind`, or say why it is a 400.
+    fn parse(kind: &str, request: &Request) -> Result<ShardQuery, String> {
+        let key = |name: &str| {
+            request
+                .path_param(name)
+                .and_then(|raw| raw.parse::<Pubkey>().ok())
+                .ok_or_else(|| format!("invalid {name}"))
+        };
+        Ok(match kind {
+            "summary" => ShardQuery::Summary,
+            "days" => ShardQuery::Days,
+            "attackers" => ShardQuery::Attackers,
+            "validators" => ShardQuery::Validators,
+            "attacker" => ShardQuery::Attacker(key("pubkey")?),
+            "validator" => ShardQuery::Validator(key("pubkey")?),
+            "pool" => ShardQuery::Pool(key("mint")?),
+            "sandwiches" => {
+                let from_slot = param(request, "from_slot", 0)?;
+                let to_slot = param(request, "to_slot", u64::MAX)?;
+                let need = param(request, "need", usize::MAX)?;
+                if from_slot > to_slot {
+                    return Err(format!("from_slot {from_slot} exceeds to_slot {to_slot}"));
+                }
+                ShardQuery::Range {
+                    from_slot,
+                    to_slot,
+                    need,
+                }
+            }
+            "live" => ShardQuery::Live {
+                after_slot: param(request, "after_slot", 0)?,
+                after_id: match request.query.get("after_id") {
+                    None => Hash([0u8; 32]),
+                    Some(raw) => Hash::from_base58(raw)
+                        .ok_or("query parameter \"after_id\" must be base58")?,
+                },
+                need: param(request, "need", usize::MAX)?,
+            },
+            other => return Err(format!("unknown shard endpoint {other:?}")),
+        })
+    }
+
     /// Canonical cache-key tail (unique per distinct answer).
     fn canonical(&self) -> String {
         match self {
@@ -202,12 +266,11 @@ impl ShardService {
         registry: Registry,
     ) -> std::io::Result<ShardService> {
         let state = load_or_build_shard(&config, map, &registry)?;
-        let cache = ResponseCache::new(config.cache_shards, config.cache_per_shard);
         Ok(ShardService {
             inner: Arc::new(ShardInner {
                 config,
                 state: RwLock::new(state),
-                cache,
+                cache: ResponseCache::new(CACHE_SHARDS, CACHE_PER_SHARD),
                 registry,
                 last_install_ok: AtomicBool::new(true),
             }),
@@ -257,10 +320,6 @@ impl ShardService {
         self.inner.state.read().engine.clone()
     }
 
-    fn engine(&self) -> Arc<Engine> {
-        self.inner.state.read().engine.clone()
-    }
-
     fn json<T: serde::Serialize>(value: &T) -> CachedResponse {
         CachedResponse {
             status: 200,
@@ -281,44 +340,6 @@ impl ShardService {
         })
     }
 
-    /// Entries with refs cleared: rank and row data only, off the wire.
-    fn wire_attackers(engine: &Engine) -> Vec<AttackerEntry> {
-        engine
-            .index()
-            .attackers
-            .iter()
-            .map(|e| AttackerEntry {
-                refs: Vec::new(),
-                ..e.clone()
-            })
-            .collect()
-    }
-
-    fn wire_pools(engine: &Engine) -> Vec<PoolEntry> {
-        engine
-            .index()
-            .pools
-            .iter()
-            .map(|e| PoolEntry {
-                refs: Vec::new(),
-                ..e.clone()
-            })
-            .collect()
-    }
-
-    /// Entries with refs cleared; `sandwich_slots` stays on the wire
-    /// (the router's distinct-block merge needs the slot union).
-    fn wire_validators(engine: &Engine) -> Vec<ValidatorEntry> {
-        engine
-            .validator_entries()
-            .iter()
-            .map(|e| ValidatorEntry {
-                refs: Vec::new(),
-                ..e.clone()
-            })
-            .collect()
-    }
-
     fn validator_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
         let recent = engine
             .validator_entry(pubkey)
@@ -326,7 +347,7 @@ impl ShardService {
             .unwrap_or_default();
         Self::json(&ValidatorDetailPartial {
             generation: engine.generation().to_string(),
-            entries: Self::wire_validators(engine),
+            entries: without_refs(engine.validator_entries(), |e| &mut e.refs),
             recent,
         })
     }
@@ -338,7 +359,7 @@ impl ShardService {
             .unwrap_or_default();
         Self::json(&AttackerDetailPartial {
             generation: engine.generation().to_string(),
-            entries: Self::wire_attackers(engine),
+            entries: without_refs(&engine.index().attackers, |e| &mut e.refs),
             recent,
         })
     }
@@ -358,7 +379,7 @@ impl ShardService {
         };
         Self::json(&PoolDetailPartial {
             generation: engine.generation().to_string(),
-            pools: Self::wire_pools(engine),
+            pools: without_refs(&engine.index().pools, |e| &mut e.refs),
             attackers,
             recent,
         })
@@ -399,115 +420,55 @@ impl ShardService {
     }
 
     async fn handle(&self, kind: &'static str, request: Request) -> Response {
-        let engine = self.engine();
+        let engine = self.engine_snapshot();
         let generation = engine.generation().to_string();
+        let shard = self.shard();
+        match kind {
+            "healthz" => return health_response(&format!(",\"shard\":{shard}"), &generation),
+            "readyz" => {
+                let ready = self.inner.last_install_ok.load(Ordering::Acquire);
+                let complete = engine.index().coverage.complete();
+                let fields = format!(",\"shard\":{shard},\"complete\":{complete}");
+                return ready_response(ready, &fields, &generation);
+            }
+            _ => {}
+        }
 
-        // Parse into an owned query (Request is not Clone) or a 400.
-        let parsed: Result<ShardQuery, String> = match kind {
-            "summary" => Ok(ShardQuery::Summary),
-            "days" => Ok(ShardQuery::Days),
-            "attackers" => Ok(ShardQuery::Attackers),
-            "validators" => Ok(ShardQuery::Validators),
-            "attacker" | "pool" | "validator" => {
-                let param = if kind == "pool" { "mint" } else { "pubkey" };
-                match request.path_param(param).map(str::parse::<Pubkey>) {
-                    Some(Ok(key)) if kind == "attacker" => Ok(ShardQuery::Attacker(key)),
-                    Some(Ok(key)) if kind == "validator" => Ok(ShardQuery::Validator(key)),
-                    Some(Ok(key)) => Ok(ShardQuery::Pool(key)),
-                    _ => Err(format!("invalid {param}")),
-                }
-            }
-            "sandwiches" => {
-                let parse = |key: &str, default: u64| -> Result<u64, String> {
-                    match request.query.get(key) {
-                        None => Ok(default),
-                        Some(raw) => raw
-                            .parse::<u64>()
-                            .map_err(|_| format!("query parameter {key:?} must be an integer")),
-                    }
-                };
-                match (
-                    parse("from_slot", 0),
-                    parse("to_slot", u64::MAX),
-                    parse("need", u64::MAX),
-                ) {
-                    (Ok(f), Ok(t), Ok(n)) if f <= t => Ok(ShardQuery::Range {
-                        from_slot: f,
-                        to_slot: t,
-                        need: n.min(usize::MAX as u64) as usize,
-                    }),
-                    (Ok(f), Ok(t), Ok(_)) => Err(format!("from_slot {f} exceeds to_slot {t}")),
-                    (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-                }
-            }
-            "live" => {
-                let after_slot = match request.query.get("after_slot") {
-                    None => Ok(0),
-                    Some(raw) => raw.parse::<u64>().map_err(|_| {
-                        "query parameter \"after_slot\" must be an integer".to_string()
-                    }),
-                };
-                let after_id = match request.query.get("after_id") {
-                    None => Ok(Hash([0u8; 32])),
-                    Some(raw) => Hash::from_base58(raw)
-                        .ok_or_else(|| "query parameter \"after_id\" must be base58".to_string()),
-                };
-                let need = match request.query.get("need") {
-                    None => Ok(usize::MAX),
-                    Some(raw) => raw
-                        .parse::<usize>()
-                        .map_err(|_| "query parameter \"need\" must be an integer".to_string()),
-                };
-                match (after_slot, after_id, need) {
-                    (Ok(after_slot), Ok(after_id), Ok(need)) => Ok(ShardQuery::Live {
-                        after_slot,
-                        after_id,
-                        need,
-                    }),
-                    (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-                }
-            }
-            other => Err(format!("unknown shard endpoint {other:?}")),
-        };
+        let parsed = ShardQuery::parse(kind, &request);
 
         let cached = match parsed {
             Err(message) => Arc::new(error_response(400, message)),
             Ok(query) => {
                 let key = format!("{generation}|{}", query.canonical());
-                let compute = {
-                    let engine = engine.clone();
-                    move || match query {
-                        ShardQuery::Summary => Self::summary_partial(&engine),
-                        ShardQuery::Days => Self::json(&DaysPartial {
-                            generation: engine.generation().to_string(),
-                            days: engine.index().days.clone(),
-                        }),
-                        ShardQuery::Attackers => Self::json(&AttackersPartial {
-                            generation: engine.generation().to_string(),
-                            entries: Self::wire_attackers(&engine),
-                        }),
-                        ShardQuery::Attacker(pubkey) => {
-                            Self::attacker_detail_partial(&engine, &pubkey)
-                        }
-                        ShardQuery::Pool(mint) => Self::pool_detail_partial(&engine, &mint),
-                        ShardQuery::Validators => Self::json(&ValidatorsPartial {
-                            generation: engine.generation().to_string(),
-                            entries: Self::wire_validators(&engine),
-                        }),
-                        ShardQuery::Validator(pubkey) => {
-                            Self::validator_detail_partial(&engine, &pubkey)
-                        }
-                        ShardQuery::Range {
-                            from_slot,
-                            to_slot,
-                            need,
-                        } => Self::range_partial(&engine, from_slot, to_slot, need),
-                        ShardQuery::Live {
-                            after_slot,
-                            after_id,
-                            need,
-                        } => Self::live_partial(&engine, after_slot, &after_id, need),
+                let compute = || match query {
+                    ShardQuery::Summary => Self::summary_partial(&engine),
+                    ShardQuery::Days => Self::json(&DaysPartial {
+                        generation: engine.generation().to_string(),
+                        days: engine.index().days.clone(),
+                    }),
+                    ShardQuery::Attackers => Self::json(&AttackersPartial {
+                        generation: engine.generation().to_string(),
+                        entries: without_refs(&engine.index().attackers, |e| &mut e.refs),
+                    }),
+                    ShardQuery::Attacker(pubkey) => Self::attacker_detail_partial(&engine, &pubkey),
+                    ShardQuery::Pool(mint) => Self::pool_detail_partial(&engine, &mint),
+                    ShardQuery::Validators => Self::json(&ValidatorsPartial {
+                        generation: engine.generation().to_string(),
+                        entries: without_refs(engine.validator_entries(), |e| &mut e.refs),
+                    }),
+                    ShardQuery::Validator(pubkey) => {
+                        Self::validator_detail_partial(&engine, &pubkey)
                     }
+                    ShardQuery::Range {
+                        from_slot,
+                        to_slot,
+                        need,
+                    } => Self::range_partial(&engine, from_slot, to_slot, need),
+                    ShardQuery::Live {
+                        after_slot,
+                        after_id,
+                        need,
+                    } => Self::live_partial(&engine, after_slot, &after_id, need),
                 };
                 let (cached, _outcome, _evicted) =
                     self.inner.cache.get_or_compute(&key, compute).await;
@@ -520,64 +481,17 @@ impl ShardService {
             .header("x-query-generation", &generation)
     }
 
-    fn health_response(&self) -> Response {
-        let body = format!(
-            "{{\"status\":\"ok\",\"shard\":{},\"generation\":\"{}\"}}",
-            self.shard(),
-            self.generation()
-        );
-        Response::new(200, body.into_bytes()).header("content-type", "application/json")
-    }
-
-    fn ready_response(&self) -> Response {
-        let ok = self.inner.last_install_ok.load(Ordering::Acquire);
-        let engine = self.engine();
-        let body = format!(
-            "{{\"ready\":{ok},\"shard\":{},\"complete\":{},\"generation\":\"{}\"}}",
-            self.shard(),
-            engine.index().coverage.complete(),
-            engine.generation()
-        );
-        let response = Response::new(if ok { 200 } else { 503 }, body.into_bytes())
-            .header("content-type", "application/json");
-        if ok {
-            response
-        } else {
-            response.header("retry-after", "3")
-        }
-    }
-
-    /// The partial API router (plus `GET /metrics` from the registry).
+    /// The partial API router (the shared endpoint table under
+    /// `/shard/`, the probes, and `GET /metrics` from the registry).
     pub fn router(&self) -> Router {
-        let endpoints: [(&'static str, &'static str); 9] = [
-            ("summary", "/shard/summary"),
-            ("days", "/shard/days"),
-            ("attackers", "/shard/attackers"),
-            ("attacker", "/shard/attacker/{pubkey}"),
-            ("pool", "/shard/pool/{mint}"),
-            ("sandwiches", "/shard/sandwiches"),
-            ("live", "/shard/live"),
-            ("validators", "/shard/validators"),
-            ("validator", "/shard/validator/{pubkey}"),
-        ];
-        let mut router = Router::new();
-        for (kind, path) in endpoints {
-            let service = self.clone();
-            router = router.route(Method::Get, path, move |request: Request| {
+        let service = self.clone();
+        routes(
+            "/shard/",
+            self.inner.registry.clone(),
+            move |kind, request| {
                 let service = service.clone();
                 async move { service.handle(kind, request).await }
-            });
-        }
-        let service = self.clone();
-        router = router.route(Method::Get, "/healthz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.health_response() }
-        });
-        let service = self.clone();
-        router = router.route(Method::Get, "/readyz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.ready_response() }
-        });
-        router.with_metrics(self.inner.registry.clone())
+            },
+        )
     }
 }

@@ -21,7 +21,7 @@
 //!   injection harness over its enumerated steps;
 //! * [`doctor`] — offline fsck: verify every checksum, repair what is
 //!   provably recoverable, quarantine the rest with reason codes;
-//! * [`rebalance`] — compaction: merge runs of small segments, split
+//! * [`rebalance`](mod@rebalance) — compaction: merge runs of small segments, split
 //!   oversized ones, and swap the manifest atomically, preserving the
 //!   record set exactly (safe under a live reader).
 //!

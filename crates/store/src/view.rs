@@ -5,7 +5,7 @@
 //! locates the interning table and the columnar section — but decodes no
 //! records. A scan then classifies every bundle from the columns alone
 //! and decodes a record only when a pre-filter says the full detector
-//! must run ([`SegmentView::bundle_record`] / [`SegmentView::detail`]).
+//! must run ([`SegmentView::bundle_record`] / [`SegmentView::detail_meta`]).
 //! The interning table is resolved in place: [`SegmentView::key_at`]
 //! reads 32 bytes at a fixed stride instead of materializing a `Vec`.
 
@@ -18,7 +18,7 @@ use crate::codec::{self, decode_body, decode_poll_section, CorruptSegment, Segme
 use crate::column::{decode_columns, Columns};
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::mmap::Mapped;
-use crate::records::{CollectedDetail, PollRecord};
+use crate::records::PollRecord;
 use crate::segment::{parse_segment, SegmentFooter};
 
 /// A bundle record decoded on demand from a view — the fields the
@@ -148,22 +148,6 @@ impl SegmentView {
         })
     }
 
-    /// Decode detail `i` on demand. Shares the record decoder with the
-    /// sequential path; the delta context comes from the columns instead
-    /// of a left-to-right walk.
-    pub fn detail(&self, cols: &Columns, i: usize) -> Result<CollectedDetail, CorruptSegment> {
-        let body = self.body();
-        let mut pos = offset_at(&cols.detail_off, i, body.len())?;
-        let prev_slot = if i > 0 {
-            cols.detail_slot[i - 1] as i64
-        } else {
-            0
-        };
-        let briefs = ViewBriefs { body, cols };
-        let key_at = |k: u64| self.key_at(k);
-        codec::decode_detail_record(body, &mut pos, prev_slot, &briefs, &key_at)
-    }
-
     /// Decode only the transaction meta of detail `i` — what the detector
     /// consumes. Skips resolving the detail's bundle id, which for derived
     /// ids costs a hash per record.
@@ -255,7 +239,7 @@ impl codec::BundleBriefs for ViewBriefs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::CollectedBundle;
+    use crate::records::{CollectedBundle, CollectedDetail};
     use crate::segment::{encode_segment, encode_segment_v1, write_segment_file};
     use crate::store::StoreWriter;
     use sandwich_ledger::{SolDelta, TransactionMeta};
@@ -337,7 +321,7 @@ mod tests {
             assert_eq!(v.tx_ids, b.tx_ids);
         }
         for (i, d) in data.details.iter().enumerate() {
-            assert_eq!(&view.detail(&cols, i).unwrap(), d);
+            assert_eq!(view.detail_meta(&cols, i).unwrap(), d.meta);
         }
         assert_eq!(view.polls(&cols).unwrap(), data.polls);
         assert_eq!(view.decode_all().unwrap(), data);

@@ -1,4 +1,4 @@
-//! SHA-256 and the 32-byte [`Hash`] value used for transaction and bundle ids.
+//! SHA-256 and the 32-byte [`Hash`](struct@Hash) value used for transaction and bundle ids.
 //!
 //! Implemented from scratch (FIPS 180-4) so the workspace has no external
 //! cryptography dependencies; the measurement pipeline only needs collision
@@ -11,7 +11,7 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::base58;
 
-/// Size of a [`Hash`] in bytes.
+/// Size of a [`Hash`](struct@Hash) in bytes.
 pub const HASH_BYTES: usize = 32;
 
 /// A 32-byte SHA-256 digest, displayed in base58 like Solana hashes.

@@ -13,6 +13,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Doc links rot silently when an item is renamed or deleted; rustdoc
+# warnings (broken or ambiguous intra-doc links) fail the gate.
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 

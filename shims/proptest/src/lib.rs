@@ -217,7 +217,7 @@ pub mod prop {
 
         use crate::strategy::Strategy;
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             elem: S,
             size: Range<usize>,

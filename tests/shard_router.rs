@@ -10,11 +10,13 @@ use std::path::PathBuf;
 
 use sandwich_bench::scale::{generate, ScaleConfig};
 use sandwich_net::{HttpClient, Method, Request, Server};
-use sandwich_obs::Registry;
-use sandwich_query::{merge_coverage, QueryRequest, QueryService, QueryServiceConfig};
+use sandwich_obs::{names, Registry};
+use sandwich_query::{
+    merge_coverage, QueryRequest, QueryService, QueryServiceConfig, DEFAULT_MAX_IN_FLIGHT,
+};
 use sandwich_shard::merge::SummaryPartial;
 use sandwich_shard::{
-    ClusterConfig, RouterConfig, RouterService, ServingCluster, ShardConfig, ShardMap, ShardService,
+    ClusterConfig, RouterService, ServingCluster, ShardConfig, ShardMap, ShardService,
 };
 use sandwich_store::{BundleStore, Manifest, RebalanceConfig, StoreWriter, ValidatorSpec};
 use sandwich_types::Keypair;
@@ -279,7 +281,7 @@ async fn readyz_aggregates_and_degrades_as_shards_die() {
     let router = RouterService::new(
         addrs,
         map.generation.clone(),
-        RouterConfig::default(),
+        DEFAULT_MAX_IN_FLIGHT,
         registry.clone(),
     );
     let router_server = Server::bind("127.0.0.1:0", router.router()).await.unwrap();
@@ -356,5 +358,119 @@ async fn rebalance_under_live_router_lands_via_reload() {
     assert_router_matches(&cluster, &paths, &generation, &reference, "rebalanced").await;
 
     cluster.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `/api/*` counters both front-ends must move identically.
+const PARITY_COUNTERS: [&str; 10] = [
+    names::QUERY_REQUESTS,
+    names::QUERY_CACHE_HITS,
+    names::QUERY_CACHE_MISSES,
+    names::QUERY_CACHE_SINGLE_FLIGHT_WAITS,
+    names::QUERY_LIVE_REQUESTS,
+    names::QUERY_LIVE_LONG_POLLS,
+    names::QUERY_LIVE_ROWS,
+    names::QUERY_VALIDATORS_REQUESTS,
+    names::QUERY_VALIDATOR_DETAIL_REQUESTS,
+    names::QUERY_SHED,
+];
+
+/// Replay `script` sequentially against `addr`; returns every
+/// `(status, body)` and the deltas of [`PARITY_COUNTERS`].
+async fn replay(
+    addr: std::net::SocketAddr,
+    registry: &Registry,
+    script: &[String],
+) -> (Vec<(u16, Vec<u8>)>, Vec<(&'static str, u64)>) {
+    let before = registry.snapshot();
+    let client = HttpClient::new(addr);
+    let mut answers = Vec::new();
+    for path in script {
+        let response = client.get(path).await.expect("scripted request");
+        answers.push((response.status, response.body.to_vec()));
+    }
+    let after = registry.snapshot();
+    let deltas = PARITY_COUNTERS
+        .iter()
+        .map(|&name| {
+            let delta = after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+            (name, delta)
+        })
+        .collect();
+    (answers, deltas)
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn router_and_queryd_record_the_same_api_metrics() {
+    let dir = seed_scale_store("parity", 2_000, 128);
+    let service = QueryService::open(QueryServiceConfig::new(&dir), Registry::new()).unwrap();
+    let engine = service.engine_snapshot();
+    let index = engine.index();
+    assert!(index.refs.len() >= 5, "the live page needs five rows");
+    let validator = index
+        .validators
+        .as_deref()
+        .unwrap_or(&[])
+        .iter()
+        .find(|v| v.sandwiches > 0)
+        .expect("an attributed validator")
+        .pubkey;
+    let long_poll = "/api/live?limit=5&wait_ms=400".to_string();
+    let script = vec![
+        "/api/validators?limit=5".to_string(),
+        "/api/validators?limit=5".to_string(),
+        format!("/api/validator/{validator}"),
+        format!("/api/validator/{validator}"),
+        "/api/live?limit=5&wait_ms=0".to_string(),
+        "/api/live?limit=5&wait_ms=0".to_string(),
+        long_poll.clone(),
+        "/api/attackers?limit=banana".to_string(),
+        "/api/summary".to_string(),
+        "/api/summary".to_string(),
+        "/api/summary".to_string(),
+    ];
+
+    let queryd_registry = service.registry().clone();
+    let server = Server::bind("127.0.0.1:0", service.router()).await.unwrap();
+    let (single, single_deltas) = replay(server.local_addr(), &queryd_registry, &script).await;
+    server.shutdown().await;
+
+    // The cluster shares one registry between its shards and the router;
+    // only the router records `/api` metrics.
+    let cluster_registry = Registry::new();
+    let cluster = ServingCluster::serve(ClusterConfig::new(&dir, 2), cluster_registry.clone())
+        .await
+        .expect("serve cluster");
+    let (sharded, sharded_deltas) = replay(cluster.router_addr(), &cluster_registry, &script).await;
+    cluster.shutdown().await;
+
+    assert_eq!(single_deltas, sharded_deltas, "per-counter deltas");
+    let delta = |name: &str| {
+        single_deltas
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, d)| *d)
+    };
+    assert_eq!(delta(names::QUERY_REQUESTS), Some(script.len() as u64));
+    assert_eq!(delta(names::QUERY_LIVE_REQUESTS), Some(3));
+    assert_eq!(delta(names::QUERY_LIVE_LONG_POLLS), Some(1));
+    assert_eq!(
+        delta(names::QUERY_LIVE_ROWS),
+        Some(15),
+        "5 rows per live page"
+    );
+    assert_eq!(delta(names::QUERY_VALIDATORS_REQUESTS), Some(2));
+    assert_eq!(delta(names::QUERY_VALIDATOR_DETAIL_REQUESTS), Some(2));
+    // Misses: validators, validator, live (the long-poll shares the
+    // page-poll's key), the 400, summary.
+    assert_eq!(delta(names::QUERY_CACHE_MISSES), Some(5));
+    assert_eq!(delta(names::QUERY_CACHE_HITS), Some(6));
+
+    for ((path, a), b) in script.iter().zip(&single).zip(&sharded) {
+        assert_eq!(a, b, "{path}: router answer diverged from queryd");
+    }
+    let poll = script.iter().position(|p| *p == long_poll).unwrap();
+    assert_eq!(single[poll].0, 200);
+    assert_eq!(single[poll].1, sharded[poll].1, "long-poll bodies");
     std::fs::remove_dir_all(&dir).unwrap();
 }
